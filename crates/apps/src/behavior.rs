@@ -13,10 +13,9 @@ use overhaul_kernel::error::Errno;
 use overhaul_sim::{Pid, SimDuration};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, Reply, Request, XError};
-use serde::{Deserialize, Serialize};
 
 /// A protected resource an application uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Microphone device.
     Mic,
@@ -42,7 +41,7 @@ impl ResourceKind {
 }
 
 /// Which IPC mechanism a multi-process app uses internally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpcKind {
     /// Anonymous pipe.
     Pipe,
@@ -55,7 +54,7 @@ pub enum IpcKind {
 }
 
 /// When/how the application performs a resource access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
     /// Immediately at program start, before any user interaction
     /// (Skype's autostart camera probe).
@@ -77,7 +76,7 @@ pub enum Trigger {
 }
 
 /// Whether Overhaul is expected to allow the access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expectation {
     /// The access follows user intent and must be granted.
     Granted,
@@ -99,7 +98,7 @@ impl Expectation {
 }
 
 /// One scripted resource access of an application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// The resource touched.
     pub resource: ResourceKind,
@@ -110,7 +109,7 @@ pub struct Access {
 }
 
 /// Application category (for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Video conferencing (Skype, Jitsi, ...).
     VideoConferencing,
@@ -129,7 +128,7 @@ pub enum Category {
 }
 
 /// A scripted application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppSpec {
     /// Display name ("Skype").
     pub name: String,
@@ -158,7 +157,7 @@ impl AppSpec {
 }
 
 /// The observed result of one access during a session.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessResult {
     /// What was attempted.
     pub access: Access,
@@ -167,7 +166,7 @@ pub struct AccessResult {
 }
 
 /// The result of driving one app session.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOutcome {
     /// App name.
     pub app: String,

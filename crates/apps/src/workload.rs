@@ -11,12 +11,11 @@ use overhaul_core::{Gui, System};
 use overhaul_sim::{SimDuration, SimRng};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, Request};
-use serde::{Deserialize, Serialize};
 
 use crate::malware::{answer_selection_requests, Spyware};
 
 /// Parameters of the long-run experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of simulated days (paper: 21).
     pub days: u32,
@@ -40,7 +39,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Outcome of one long-run experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmpiricalReport {
     /// Days simulated.
     pub days: u32,

@@ -20,10 +20,9 @@ use overhaul_apps::{run_session, Trigger};
 use overhaul_core::{OverhaulConfig, System};
 use overhaul_sim::{SimDuration, SimRng};
 use overhaul_xserver::geometry::Rect;
-use serde::{Deserialize, Serialize};
 
 /// One point of the δ sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPoint {
     /// The threshold δ.
     pub delta_ms: u64,
@@ -80,7 +79,7 @@ pub fn sweep_delta(deltas_ms: &[u64], trials: u32, seed: u64) -> Vec<DeltaPoint>
 }
 
 /// One point of the shared-memory wait sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShmWaitPoint {
     /// Wait-window length.
     pub wait_ms: u64,
@@ -168,7 +167,7 @@ pub fn sweep_shm_wait(waits_ms: &[u64], trials: u32, seed: u64) -> Vec<ShmWaitPo
 }
 
 /// One point of the visibility-threshold sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisibilityPoint {
     /// The clickjacking visibility threshold.
     pub threshold_ms: u64,
@@ -231,7 +230,7 @@ pub fn sweep_visibility(thresholds_ms: &[u64], trials: u32, seed: u64) -> Vec<Vi
 }
 
 /// Result of the propagation ablation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropagationReport {
     /// Apps relying on IPC or CLI propagation in the corpus.
     pub dependent_apps: usize,

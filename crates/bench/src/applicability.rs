@@ -14,10 +14,9 @@
 use overhaul_apps::corpus::{clipboard_corpus, device_corpus};
 use overhaul_apps::{run_session, AppSpec, SessionOutcome};
 use overhaul_core::System;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated results over one corpus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusReport {
     /// Corpus label.
     pub corpus: String,

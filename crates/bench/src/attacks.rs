@@ -15,10 +15,9 @@ use overhaul_core::{Gui, OverhaulConfig, Recorder, System};
 use overhaul_sim::SimDuration;
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, Request};
-use serde::{Deserialize, Serialize};
 
 /// Machine configurations the matrix runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineKind {
     /// The paper's configuration (userspace DM + netlink).
     Protected,
@@ -61,7 +60,7 @@ impl MachineKind {
 }
 
 /// One attack × machine outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixCell {
     /// Attack name.
     pub attack: &'static str,

@@ -8,8 +8,7 @@
 //! Rows:
 //!
 //! - `engine eval`  — pure [`PolicyEngine`] evaluation of a prebuilt
-//!   snapshot: the decision core with every state read amortized away
-//!   (the `decide_batch` regime).
+//!   snapshot: the decision core with every state read amortized away.
 //! - `traced miss`  — the full in-kernel traced path with the verdict
 //!   cache invalidated before every query (a policy-epoch bump), i.e. the
 //!   cost every mediation paid before verdicts were cached.

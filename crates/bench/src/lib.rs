@@ -13,8 +13,9 @@
 //!   (δ, the shm wait window, the clickjacking visibility threshold, and
 //!   IPC propagation on/off).
 //!
-//! Binaries under `src/bin/` print the corresponding tables; Criterion
-//! benches under `benches/` measure the same operations statistically.
+//! Binaries under `src/bin/` print the corresponding tables. The
+//! repository benchmark (`benchmark/`) times the [`table1`] operations
+//! with quartiles over seeds.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

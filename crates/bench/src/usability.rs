@@ -15,10 +15,9 @@ use overhaul_core::{AttentionProfile, NoticeOutcome, SimulatedUser, System};
 use overhaul_kernel::error::Errno;
 use overhaul_sim::SimDuration;
 use overhaul_xserver::geometry::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Study configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// Number of participants (paper: 46).
     pub participants: u32,
@@ -39,7 +38,7 @@ impl Default for StudyConfig {
 }
 
 /// Study results.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyReport {
     /// Task 1: Likert histogram (index 0 = score 1 ... index 4 = score 5).
     pub likert: [u32; 5],

@@ -8,10 +8,9 @@
 //! scale; other profiles support sensitivity analysis.
 
 use overhaul_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// How a participant reacted to an on-screen alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NoticeOutcome {
     /// Interrupted the task immediately and reported the alert.
     InterruptedTask,
@@ -22,7 +21,7 @@ pub enum NoticeOutcome {
 }
 
 /// Probabilities governing alert noticing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttentionProfile {
     /// Probability of interrupting the task immediately.
     pub interrupt: f64,

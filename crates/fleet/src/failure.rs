@@ -1,13 +1,14 @@
 //! Bisectable failure triples.
 //!
-//! When a shard fails — panic, hang, policy violation, replay divergence,
-//! boot refusal — the harness persists a [`FailureTriple`]: the shard
-//! seed, the *sealed* [`EventLog`] prefix up to the failure point, and the
-//! last-good [`Snapshot`]. The log's `final_state_hash` is the machine's
-//! state hash immediately before the failing op, so reproduction is a
-//! byte-identical check, not a heuristic one: replay the log (from boot,
-//! or from the snapshot for the short way), compare hashes, then re-apply
-//! the failing op and confirm the same failure kind recurs.
+//! When a shard fails — panic, hang, defense regression, replay
+//! divergence, boot refusal — the harness persists a [`FailureTriple`]:
+//! the shard seed, the *sealed* [`EventLog`] prefix up to the failure
+//! point, and the last-good [`Snapshot`]. The log's `final_state_hash` is
+//! the machine's state hash immediately before the failing op, so
+//! reproduction is a byte-identical check, not a heuristic one: replay the
+//! log (from boot, or from the snapshot for the short way), compare
+//! hashes, then re-apply the failing op and confirm the same failure kind
+//! recurs.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -34,11 +35,6 @@ pub enum FailureKind {
     /// The wall-clock supervisor cancelled the shard for not making real
     /// progress.
     HungWall,
-    /// The policy oracle expected a denial and the kernel granted.
-    PolicyViolation {
-        /// The device path the spy was wrongly granted.
-        path: String,
-    },
     /// The shard's self-replay produced a different state hash than the
     /// live run.
     Divergence {
@@ -79,7 +75,6 @@ impl FailureKind {
             FailureKind::Panic { .. } => "panic",
             FailureKind::HungVirtual { .. } => "hung_virtual",
             FailureKind::HungWall => "hung_wall",
-            FailureKind::PolicyViolation { .. } => "policy_violation",
             FailureKind::Divergence { .. } => "divergence",
             FailureKind::Boot { .. } => "boot",
             FailureKind::CorruptLedger { .. } => "corrupt_ledger",
@@ -101,10 +96,6 @@ impl Pack for FailureKind {
                 deadline.pack(enc);
             }
             FailureKind::HungWall => enc.put_u8(2),
-            FailureKind::PolicyViolation { path } => {
-                enc.put_u8(3);
-                path.pack(enc);
-            }
             FailureKind::Divergence { expected, got } => {
                 enc.put_u8(4);
                 expected.pack(enc);
@@ -140,9 +131,6 @@ impl Pack for FailureKind {
                 deadline: Pack::unpack(dec)?,
             },
             2 => FailureKind::HungWall,
-            3 => FailureKind::PolicyViolation {
-                path: Pack::unpack(dec)?,
-            },
             4 => FailureKind::Divergence {
                 expected: Pack::unpack(dec)?,
                 got: Pack::unpack(dec)?,
@@ -186,7 +174,7 @@ pub struct FailureTriple {
     /// Last-good checkpoint (after `snap_idx` events).
     pub snapshot: Snapshot,
     /// The op whose application failed, if the failure is op-shaped
-    /// (panics, hangs, violations). `None` for divergence and boot
+    /// (panics, hangs, regressions). `None` for divergence and boot
     /// failures, which have no single culprit op.
     pub failing_op: Option<ShardOp>,
     /// The shard's virtual progress deadline (needed to re-judge hangs).
@@ -379,9 +367,7 @@ fn finish_reproduction(triple: &FailureTriple, mut system: System) -> Reproducti
             let op = triple.failing_op.clone();
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| match &op {
                 Some(ShardOp::Chaos(ChaosOp::Panic)) => crate::shard::injected_panic(triple.index),
-                Some(ShardOp::Sys(e))
-                | Some(ShardOp::ExpectDeny(e))
-                | Some(ShardOp::Expect(_, e)) => {
+                Some(ShardOp::Sys(e)) | Some(ShardOp::Expect(_, e)) => {
                     apply_event(&mut system, e);
                 }
                 _ => {}
@@ -436,24 +422,6 @@ fn finish_reproduction(triple: &FailureTriple, mut system: System) -> Reproducti
                 detail: format!("wall hang with a non-spin op on file: {other:?}"),
             },
         },
-        FailureKind::PolicyViolation { path } => {
-            let op = match &triple.failing_op {
-                Some(ShardOp::ExpectDeny(e)) => e.clone(),
-                other => {
-                    return Reproduction::KindMismatch {
-                        detail: format!("policy violation without an ExpectDeny op: {other:?}"),
-                    }
-                }
-            };
-            match apply_event(&mut system, &op).fd() {
-                Ok(_) => Reproduction::Reproduced {
-                    state_hash: expected,
-                },
-                Err(e) => Reproduction::KindMismatch {
-                    detail: format!("recorded wrongful grant on {path}, replay denies ({e:?})"),
-                },
-            }
-        }
         // A broken chain cannot be re-executed: replay rebuilds a fresh,
         // valid history, so reaching the sealed hash is the reproduction
         // (same rationale as wall hangs).
@@ -673,6 +641,32 @@ mod tests {
         assert_eq!(decoded.kind, triple.kind);
         assert_eq!(decoded.kind.label(), "defense_regression");
         assert!(replay_triple(&decoded).is_reproduced(), "from bytes");
+    }
+
+    #[test]
+    fn retired_oracle_tags_decode_to_bad_value() {
+        // `ShardOp` tag 1 and `FailureKind` tag 3 belonged to the retired
+        // deny-all spy oracle; bytes carrying them are rejected cleanly.
+        let mut enc = Enc::new();
+        enc.put_u8(1);
+        Event::OpenDevice {
+            pid: overhaul_sim::Pid::from_raw(9),
+            path: "/dev/video0".into(),
+        }
+        .pack(&mut enc);
+        let op_bytes = enc.into_bytes();
+        assert_eq!(
+            ShardOp::unpack(&mut Dec::new(&op_bytes)),
+            Err(SnapshotError::BadValue("shard op tag"))
+        );
+        let mut enc = Enc::new();
+        enc.put_u8(3);
+        "/dev/video0".to_string().pack(&mut enc);
+        let kind_bytes = enc.into_bytes();
+        assert_eq!(
+            FailureKind::unpack(&mut Dec::new(&kind_bytes)),
+            Err(SnapshotError::BadValue("failure kind tag"))
+        );
     }
 
     #[test]

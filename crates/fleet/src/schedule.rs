@@ -51,15 +51,11 @@ impl Pack for ChaosOp {
 pub enum ShardOp {
     /// An ordinary recorded input.
     Sys(overhaul_core::Event),
-    /// A recorded input whose outcome the policy oracle requires to be a
-    /// denial (the spy process opening a device it never interacted for).
-    /// Legacy deny-all form; kept so old failure-triple bytes decode.
-    ExpectDeny(overhaul_core::Event),
     /// An injected chaos action (never recorded into the event log).
     Chaos(ChaosOp),
     /// A recorded input judged against an explicit expectation — the
-    /// expectation-aware oracle form, which (unlike [`ShardOp::ExpectDeny`])
-    /// can represent a documented `ExpectedBypass`.
+    /// policy oracle, which can also represent a documented
+    /// `ExpectedBypass`.
     Expect(Expectation, overhaul_core::Event),
 }
 
@@ -68,10 +64,6 @@ impl Pack for ShardOp {
         match self {
             ShardOp::Sys(e) => {
                 enc.put_u8(0);
-                e.pack(enc);
-            }
-            ShardOp::ExpectDeny(e) => {
-                enc.put_u8(1);
                 e.pack(enc);
             }
             ShardOp::Chaos(c) => {
@@ -88,7 +80,6 @@ impl Pack for ShardOp {
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         Ok(match dec.take_u8()? {
             0 => ShardOp::Sys(Pack::unpack(dec)?),
-            1 => ShardOp::ExpectDeny(Pack::unpack(dec)?),
             2 => ShardOp::Chaos(Pack::unpack(dec)?),
             3 => ShardOp::Expect(Pack::unpack(dec)?, Pack::unpack(dec)?),
             _ => return Err(SnapshotError::BadValue("shard op tag")),
@@ -369,10 +360,6 @@ mod tests {
             ShardOp::Chaos(ChaosOp::VirtualStall(SimDuration::from_secs(700))),
             ShardOp::Chaos(ChaosOp::Spin),
             ShardOp::Sys(overhaul_core::Event::Settle),
-            ShardOp::ExpectDeny(overhaul_core::Event::OpenDevice {
-                pid: overhaul_sim::Pid::from_raw(9),
-                path: "/dev/video0".into(),
-            }),
             ShardOp::Expect(
                 Expectation::Blocked,
                 overhaul_core::Event::OpenDevice {

@@ -4,7 +4,7 @@
 //! seed-determined randomized workload against the *live* system (so ops
 //! can target handles — pids, windows, clients — that only exist at run
 //! time), and records every applied input into an [`EventLog`]. Every op
-//! runs under `catch_unwind`; panics, hangs, policy violations, and
+//! runs under `catch_unwind`; panics, hangs, defense regressions, and
 //! self-replay divergences all become sealed [`FailureTriple`]s instead
 //! of tearing the fleet. The generator is *not* needed for reproduction:
 //! the recorded log is pure data.
@@ -355,49 +355,6 @@ fn run_shard_inner(plan: &ShardPlan, beat: &ShardBeat) -> ShardReport {
                                 message: panic_message(&payload),
                             },
                             Some(ShardOp::Sys(event)),
-                        );
-                    }
-                }
-            }
-            ShardOp::ExpectDeny(event) => {
-                let applied =
-                    panic::catch_unwind(AssertUnwindSafe(|| apply_event(&mut system, &event)));
-                match applied {
-                    Ok(outcome) => {
-                        if let ApplyOutcome::Fd(Ok(_)) = outcome {
-                            // The oracle: a never-interacted process was
-                            // granted a protected device.
-                            let path = match &event {
-                                Event::OpenDevice { path, .. } => path.clone(),
-                                _ => String::new(),
-                            };
-                            log.final_state_hash = Some(pre_hash);
-                            log.final_ledger_head = Some(pre_head);
-                            return failure(
-                                plan,
-                                &system,
-                                log,
-                                snap_idx,
-                                last_good,
-                                FailureKind::PolicyViolation { path },
-                                Some(ShardOp::ExpectDeny(event)),
-                            );
-                        }
-                        log.events.push(event);
-                    }
-                    Err(payload) => {
-                        log.final_state_hash = Some(pre_hash);
-                        log.final_ledger_head = Some(pre_head);
-                        return failure(
-                            plan,
-                            &system,
-                            log,
-                            snap_idx,
-                            last_good,
-                            FailureKind::Panic {
-                                message: panic_message(&payload),
-                            },
-                            Some(ShardOp::ExpectDeny(event)),
                         );
                     }
                 }
@@ -1035,9 +992,9 @@ mod tests {
 
     #[test]
     fn grant_all_shard_completes_under_the_expectation_aware_oracle() {
-        // The old deny-all oracle flagged every grant-all shard as a
-        // policy violation. The expectation-aware oracle documents those
-        // grants as ExpectedBypass, so grant-all shards complete cleanly.
+        // A deny-all oracle would flag every grant-all shard as a wrongful
+        // grant. The expectation-aware oracle documents those grants as
+        // ExpectedBypass, so grant-all shards complete cleanly.
         let w = FleetWorkload {
             grant_all: true,
             ..FleetWorkload::default()

@@ -24,14 +24,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use overhaul_sim::{Interner, Sym};
 
 use crate::device::DeviceId;
 
 /// Kernel-side map from device-node paths to sensitive devices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DeviceMap {
     /// Every path ever announced, interned once. Symbols are never freed:
     /// device maps are tiny and the helper replays a bounded set of paths.

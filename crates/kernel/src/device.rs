@@ -9,12 +9,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Errno, SysResult};
 
 /// Identifier of a registered device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(u32);
 
 impl DeviceId {
@@ -36,7 +34,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// The class of a sensitive device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// Audio capture.
     Microphone,
@@ -57,7 +55,7 @@ impl fmt::Display for DeviceClass {
 }
 
 /// A registered hardware device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Device {
     id: DeviceId,
     class: DeviceClass,

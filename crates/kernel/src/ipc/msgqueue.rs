@@ -9,12 +9,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use overhaul_sim::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 
 /// Identifier of a message queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgqId(u64);
 
 impl MsgqId {
@@ -36,7 +35,7 @@ impl fmt::Display for MsgqId {
 }
 
 /// Which API family created a queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueFamily {
     /// `msgget`-style, addressed by integer key.
     SysV,
@@ -45,7 +44,7 @@ pub enum QueueFamily {
 }
 
 /// One queued message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// SysV message type (POSIX sends use 0).
     pub mtype: i64,

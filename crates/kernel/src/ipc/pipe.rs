@@ -8,12 +8,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use overhaul_sim::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 
 /// Identifier of a pipe object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PipeId(u64);
 
 impl PipeId {

@@ -19,12 +19,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use overhaul_sim::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 
 /// Identifier of a pseudo-terminal pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PtyId(u64);
 
 impl PtyId {
@@ -46,7 +45,7 @@ impl fmt::Display for PtyId {
 }
 
 /// Which side of the pair a descriptor holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PtySide {
     /// Held by the terminal emulator.
     Master,

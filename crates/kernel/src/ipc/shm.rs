@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use overhaul_sim::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 
@@ -19,7 +18,7 @@ use crate::error::{Errno, SysResult};
 pub const PAGE_SIZE: usize = 4096;
 
 /// Identifier of a shared-memory segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShmId(u64);
 
 impl ShmId {
@@ -41,7 +40,7 @@ impl fmt::Display for ShmId {
 }
 
 /// Which API family created the segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShmFamily {
     /// `shmget`-style, addressed by integer key.
     SysV,

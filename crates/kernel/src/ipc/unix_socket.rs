@@ -9,12 +9,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use overhaul_sim::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 
 /// Identifier of a socket pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(u64);
 
 impl SocketId {
@@ -36,7 +35,7 @@ impl fmt::Display for SocketId {
 }
 
 /// Which end of a socket pair a descriptor holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SocketEnd {
     /// The first end returned by `socketpair`.
     A,

@@ -1450,22 +1450,14 @@ impl Kernel {
         seq
     }
 
-    /// Decides a batch of requests through the traced path (cache + audit +
-    /// stats per request). High-throughput mediation entry point.
-    pub fn decide_batch(&mut self, requests: &[OpRequest]) -> Vec<DecisionOutcome> {
-        requests
-            .iter()
-            .map(|r| self.decide_traced(r.pid, r.at, r.op, false))
-            .collect()
-    }
-
     /// Batched event ingestion: feeds a mixed stream of interaction
     /// notifications and permission requests through the kernel in one
     /// call, so workloads and the fleet harness drive mediation without
-    /// per-event dispatch overhead. Contiguous runs of requests are
-    /// decided via [`Kernel::decide_batch`]; interactions flow through the
-    /// same path as [`Kernel::record_interaction_direct`] (notifications
-    /// for dead pids are dropped, exactly like the per-event call).
+    /// per-event dispatch overhead. Each request is decided through the
+    /// traced path (cache + audit + stats) as it is read; interactions
+    /// flow through the same path as [`Kernel::record_interaction_direct`]
+    /// (notifications for dead pids are dropped, exactly like the
+    /// per-event call).
     ///
     /// The returned vector is aligned with the input: `Some(outcome)` for
     /// each request, `None` for each interaction. Every observable effect
@@ -1473,33 +1465,16 @@ impl Kernel {
     /// byte-identical to issuing the same events one call at a time in the
     /// same order.
     pub fn ingest_batch(&mut self, events: &[IngestEvent]) -> Vec<Option<DecisionOutcome>> {
-        let mut out = Vec::with_capacity(events.len());
-        let mut pending: Vec<OpRequest> = Vec::new();
-        for event in events {
-            match event {
-                IngestEvent::Request(req) => pending.push(*req),
+        events
+            .iter()
+            .map(|event| match event {
+                IngestEvent::Request(r) => Some(self.decide_traced(r.pid, r.at, r.op, false)),
                 IngestEvent::Interaction { pid, at } => {
-                    self.flush_pending_requests(&mut pending, &mut out);
                     let _ = self.record_interaction_direct(*pid, *at);
-                    out.push(None);
+                    None
                 }
-            }
-        }
-        self.flush_pending_requests(&mut pending, &mut out);
-        out
-    }
-
-    /// Decides a buffered run of requests and appends the outcomes.
-    fn flush_pending_requests(
-        &mut self,
-        pending: &mut Vec<OpRequest>,
-        out: &mut Vec<Option<DecisionOutcome>>,
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        out.extend(self.decide_batch(pending).into_iter().map(Some));
-        pending.clear();
+            })
+            .collect()
     }
 
     /// The most recent traced outcome for `(pid, op)`: why the last
@@ -2308,7 +2283,7 @@ mod tests {
     }
 
     #[test]
-    fn decide_batch_matches_sequential_decides() {
+    fn ingest_batch_matches_sequential_decides() {
         let mut k = kernel();
         let app = k.sys_spawn(Pid::INIT, "/usr/bin/app").unwrap();
         k.record_interaction_direct(app, Timestamp::from_millis(100))
@@ -2321,9 +2296,11 @@ mod tests {
                 at: Timestamp::from_millis(300),
             })
             .collect();
-        let outcomes = k.decide_batch(&requests);
+        let events: Vec<IngestEvent> = requests.iter().map(|&r| IngestEvent::Request(r)).collect();
+        let outcomes = k.ingest_batch(&events);
         assert_eq!(outcomes.len(), 3);
         for (request, outcome) in requests.iter().zip(&outcomes) {
+            let outcome = outcome.as_ref().expect("a request yields an outcome");
             assert!(outcome.decision.verdict.is_grant());
             assert_eq!(
                 k.explain_last(request.pid, request.op),

@@ -20,13 +20,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use overhaul_sim::{Pid, SimDuration, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 use crate::ipc::shm::ShmId;
 
 /// Identifier of a virtual memory area (a shared mapping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmaId(u64);
 
 impl VmaId {
@@ -48,7 +47,7 @@ impl fmt::Display for VmaId {
 }
 
 /// Read or write access to a mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// Load from the mapping.
     Read,
@@ -57,7 +56,7 @@ pub enum AccessKind {
 }
 
 /// How an access proceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPath {
     /// Permissions were revoked: the access faulted, the kernel runs the
     /// propagation protocol, permissions are restored, and the mapping is
@@ -69,7 +68,7 @@ pub enum AccessPath {
 }
 
 /// A shared mapping (the relevant slice of `vm_area_struct`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vma {
     id: VmaId,
     /// Owning process.
@@ -105,7 +104,7 @@ struct WaitEntry {
 }
 
 /// Counters for the interposition machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MmStats {
     /// Accesses that took the fault path (propagation ran).
     pub faults: u64,

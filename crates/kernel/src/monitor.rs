@@ -15,7 +15,6 @@
 use std::fmt;
 
 use overhaul_sim::{Pid, SimDuration, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::error::SysResult;
 use crate::netlink::ChannelState;
@@ -24,7 +23,7 @@ use crate::process::ProcessTable;
 
 /// A privileged operation class, the paper's
 /// `op ∈ {copy, paste, scr, mic, cam}` (plus generic sensors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceOp {
     /// Microphone access.
     Mic,
@@ -62,7 +61,7 @@ impl fmt::Display for ResourceOp {
 }
 
 /// Grant or deny.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The operation may proceed.
     Grant,
@@ -78,7 +77,7 @@ impl Verdict {
 }
 
 /// Why the monitor decided the way it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionReason {
     /// Granted: the operation followed an authentic interaction within δ.
     WithinThreshold {
@@ -104,7 +103,7 @@ pub enum DecisionReason {
 }
 
 /// The monitor's answer to a permission query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Grant or deny.
     pub verdict: Verdict,
@@ -114,7 +113,7 @@ pub struct Decision {
 
 /// A pending visual-alert request from the kernel to the display manager
 /// (`V_{A,op}` in the paper; step 6 of Figure 1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertRequest {
     /// Process that performed (or attempted) the operation.
     pub pid: Pid,
@@ -135,7 +134,7 @@ pub struct AlertRequest {
 }
 
 /// Tunables of the permission monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Temporal-proximity threshold δ. Paper default: 2 s.
     pub delta: SimDuration,
@@ -153,7 +152,7 @@ impl Default for MonitorConfig {
 }
 
 /// Running counters kept by the monitor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorStats {
     /// Interaction notifications recorded.
     pub notifications: u64,

@@ -25,14 +25,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use overhaul_sim::{Pid, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::monitor::{AlertRequest, Decision, ResourceOp};
 use crate::process::ProcessTable;
 use crate::vfs::Vfs;
 
 /// Identifier of an established netlink connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(u32);
 
 impl ConnId {
@@ -49,7 +48,7 @@ impl fmt::Display for ConnId {
 }
 
 /// Health of the kernel↔display-manager channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelState {
     /// Messages are delivered cleanly.
     Up,
@@ -72,7 +71,7 @@ impl fmt::Display for ChannelState {
 }
 
 /// A message sent from userspace to the kernel over the channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlinkMessage {
     /// `N_{A,t}`: the display manager authenticated a hardware input event
     /// delivered to the client owned by `pid` at `at`.
@@ -102,7 +101,7 @@ pub enum NetlinkMessage {
 }
 
 /// The kernel's reply to a [`NetlinkMessage`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetlinkReply {
     /// Message accepted (notifications, map updates).
     Ack,
@@ -111,14 +110,14 @@ pub enum NetlinkReply {
 }
 
 /// A message pushed from the kernel to the display manager.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelPush {
     /// `V_{A,op}`: render a visual alert.
     DisplayAlert(AlertRequest),
 }
 
 /// Why a connection attempt or message was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetlinkError {
     /// The peer process does not exist.
     NoSuchProcess,

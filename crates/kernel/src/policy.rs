@@ -34,7 +34,6 @@
 use std::fmt;
 
 use overhaul_sim::{Pid, SimDuration, SlotId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::monitor::{Decision, DecisionReason, ResourceOp, Verdict};
 use crate::netlink::ChannelState;
@@ -44,7 +43,7 @@ pub const MAX_CREDIT_HOPS: usize = 16;
 
 /// The IPC mechanism an interaction timestamp propagated through
 /// (policy **P2**).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpcMechanism {
     /// Anonymous pipe or FIFO.
     Pipe,
@@ -81,7 +80,7 @@ impl fmt::Display for IpcMechanism {
 }
 
 /// One hop in the provenance of a task's interaction credit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreditHop {
     /// The display manager notified this task directly (hardware input).
     Direct,
@@ -99,7 +98,7 @@ pub enum CreditHop {
 /// saturated chain keeps its correct prefix and — so decision traces can
 /// never silently misreport provenance on long IPC chains — records that
 /// hops were dropped in [`CreditChain::saturated`].
-#[derive(Clone, Copy, Serialize, Deserialize)]
+#[derive(Clone, Copy)]
 pub struct CreditChain {
     len: u8,
     saturated: bool,
@@ -186,7 +185,7 @@ impl fmt::Debug for CreditChain {
 }
 
 /// One permission query: "may `pid` perform `op` at time `at`?"
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpRequest {
     /// The requesting process.
     pub pid: Pid,
@@ -200,7 +199,7 @@ pub struct OpRequest {
 /// authentic-interaction notification or a permission request. `Copy` and
 /// integer-only so batches move through the kernel, the replay log, and
 /// the fleet harness without touching the heap per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestEvent {
     /// An authentic user interaction observed for `pid` at `at`.
     Interaction {
@@ -214,7 +213,7 @@ pub enum IngestEvent {
 }
 
 /// The policy-relevant view of one task, lifted out of the process table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPolicyView {
     /// Whether ptrace hardening currently freezes the task's permissions.
     pub frozen: bool,
@@ -232,7 +231,7 @@ pub struct TaskPolicyView {
 /// kernel state; [`PolicyEngine::decide`] itself is a pure function of
 /// this value, which is what makes verdicts cacheable and the engine
 /// trivially testable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicySnapshot {
     /// Temporal-proximity threshold δ.
     pub delta: SimDuration,
@@ -256,7 +255,7 @@ pub struct PolicySnapshot {
 /// wins over everything task-local — mirroring the pre-refactor layering
 /// where the device-open path checked quarantine before ever consulting
 /// the monitor, and the kernel checked the channel before the task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionTrace {
     /// Granted: an authentic interaction at `interaction_at` happened
     /// within δ before the operation.
@@ -436,7 +435,7 @@ impl DecisionTrace {
 }
 
 /// A verdict plus its structured explanation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionOutcome {
     /// The wire-compatible decision (what mediation sites act on).
     pub decision: Decision,
@@ -488,15 +487,6 @@ impl PolicyEngine {
     /// outcome, no side effects.
     pub fn decide(snapshot: &PolicySnapshot, request: &OpRequest) -> DecisionOutcome {
         Self::evaluate_at(snapshot, request.at)
-    }
-
-    /// Decides a batch of requests against one snapshot (high-throughput
-    /// mediation; the snapshot is built once and reused).
-    pub fn decide_batch(snapshot: &PolicySnapshot, requests: &[OpRequest]) -> Vec<DecisionOutcome> {
-        requests
-            .iter()
-            .map(|request| Self::decide(snapshot, request))
-            .collect()
     }
 
     /// The op-agnostic evaluation core: decides an operation at `at`.
@@ -565,7 +555,7 @@ impl PolicyEngine {
 /// Epochs invalidate cached verdicts when *state* changes; the validity
 /// window invalidates them when *time alone* changes the answer — a
 /// within-δ grant silently becomes a stale deny at exactly `t + δ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Validity {
     /// Correct at any operation time (frozen / no-interaction / channel /
     /// quarantine outcomes: time does not change them).
@@ -1188,24 +1178,6 @@ mod tests {
             Some("quarantined pending helper update")
         );
         assert_eq!(DecisionTrace::NoInteraction.deny_cause(), None);
-    }
-
-    #[test]
-    fn decide_batch_matches_individual_decides() {
-        let snap = snapshot(Some(live_task(Some(1_000))));
-        let requests: Vec<OpRequest> = [500u64, 1_500, 2_500, 4_000]
-            .iter()
-            .map(|ms| OpRequest {
-                pid: Pid::from_raw(7),
-                op: ResourceOp::Mic,
-                at: at(*ms),
-            })
-            .collect();
-        let batch = PolicyEngine::decide_batch(&snap, &requests);
-        assert_eq!(batch.len(), requests.len());
-        for (request, outcome) in requests.iter().zip(&batch) {
-            assert_eq!(*outcome, PolicyEngine::decide(&snap, request));
-        }
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! default and toggleable by the superuser through a procfs node.
 
 use overhaul_sim::Pid;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Errno, SysResult};
 use crate::process::ProcessTable;
 
 /// ptrace policy state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtracePolicy {
     /// When `true` (default), attaching freezes the tracee's interaction
     /// permissions for the duration of the trace.

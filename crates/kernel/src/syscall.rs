@@ -21,7 +21,6 @@
 use overhaul_sim::{
     AuditCategory, ChannelTag, Effect, Fd, LedgerEntry, Pid, Timestamp, TraceValue, Uid,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceClass;
 use crate::error::{Errno, SysResult};
@@ -39,7 +38,7 @@ use crate::vfs::{InodeKind, Stat};
 use crate::Kernel;
 
 /// Access mode requested by `open(2)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenMode {
     /// `O_RDONLY`.
     ReadOnly,

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use overhaul_sim::{Fd, Pid, Timestamp, Uid};
-use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceId;
 use crate::ipc::msgqueue::MsgqId;
@@ -21,7 +20,7 @@ use crate::policy::{CreditChain, CreditHop, IpcMechanism};
 use crate::vfs::InodeId;
 
 /// What an open file descriptor refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileDescription {
     /// A regular file in the VFS.
     Regular {
@@ -68,7 +67,7 @@ pub enum FileDescription {
 }
 
 /// Lifecycle state of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// Runnable / running.
     Running,
@@ -80,7 +79,7 @@ pub enum TaskState {
 }
 
 /// The simulated `task_struct`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Task {
     pid: Pid,
     ppid: Option<Pid>,

@@ -11,14 +11,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use overhaul_sim::Uid;
-use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceId;
 use crate::error::{Errno, SysResult};
 use crate::ipc::pipe::PipeId;
 
 /// Identifier of a VFS inode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InodeId(u64);
 
 impl InodeId {
@@ -40,7 +39,7 @@ impl fmt::Display for InodeId {
 }
 
 /// What an inode is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InodeKind {
     /// A directory mapping names to child inodes.
     Directory {
@@ -65,7 +64,7 @@ pub enum InodeKind {
 }
 
 /// Metadata + contents of one filesystem object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Inode {
     id: InodeId,
     kind: InodeKind,
@@ -116,7 +115,7 @@ impl Inode {
 }
 
 /// Result of `stat(2)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stat {
     /// Inode number.
     pub inode: InodeId,

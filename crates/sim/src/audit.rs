@@ -11,13 +11,11 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::Pid;
 use crate::time::Timestamp;
 
 /// The kind of event recorded in the audit log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditCategory {
     /// The display manager authenticated a hardware input event and notified
     /// the kernel permission monitor (an `N_{A,t}` in the paper's notation).
@@ -69,7 +67,7 @@ impl fmt::Display for AuditCategory {
 }
 
 /// One record in the audit log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditEvent {
     /// Virtual time at which the event occurred.
     pub at: Timestamp,
@@ -106,7 +104,7 @@ impl fmt::Display for AuditEvent {
 ///            Some(Pid::from_raw(7)), "mic open without interaction");
 /// assert_eq!(log.count(AuditCategory::PermissionDenied), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,
 }
@@ -189,14 +187,14 @@ impl AuditLog {
 }
 
 mod pack {
-    //! Snapshot codec for the audit log (part of the hashed state section:
-    //! the log is a pure function of the event history, so replay must
-    //! reproduce it byte-for-byte).
+    //! Snapshot codecs for the parts of an audit record the ledger
+    //! persists: the category and the detail string. The log itself is
+    //! never packed; the ledger serializes the history and the audit view
+    //! is rebuilt from it.
 
     use std::borrow::Cow;
 
-    use super::{AuditCategory, AuditEvent, AuditLog};
-    use crate::impl_pack;
+    use super::AuditCategory;
     use crate::snapshot::{Dec, Enc, Pack, SnapshotError};
 
     impl Pack for AuditCategory {
@@ -244,14 +242,6 @@ mod pack {
             Ok(Cow::Owned(String::unpack(dec)?))
         }
     }
-
-    impl_pack!(AuditEvent {
-        at,
-        category,
-        pid,
-        detail
-    });
-    impl_pack!(AuditLog { events });
 }
 
 #[cfg(test)]

@@ -17,8 +17,6 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
 use crate::impl_pack;
 use crate::rng::SimRng;
 use crate::snapshot::{Dec, Enc, Pack, SnapshotError};
@@ -41,7 +39,7 @@ pub enum ChannelFault {
 
 /// Plain-data description of a fault scenario. Lives in configuration
 /// (`OverhaulConfig`), compiles into a [`FaultPlan`] at boot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Seed of the fault stream. The same spec always produces the same
     /// faults at the same points.

@@ -7,14 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A process identifier in the simulated kernel.
 ///
 /// The display manager labels interaction notifications with the `Pid` of
 /// the X client that received the event; the kernel's permission monitor
 /// stores the interaction timestamp in that process's task structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(u32);
 
 impl Pid {
@@ -42,7 +40,7 @@ impl fmt::Display for Pid {
 ///
 /// Overhaul layers on top of — it does not replace — classic UNIX
 /// user-based access control, so device nodes and files still carry owners.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uid(u32);
 
 impl Uid {
@@ -72,7 +70,7 @@ impl fmt::Display for Uid {
 }
 
 /// A per-process file descriptor in the simulated kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fd(u32);
 
 impl Fd {

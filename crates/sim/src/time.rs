@@ -11,8 +11,6 @@ use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in milliseconds since simulation start.
 ///
 /// `Timestamp` is ordered and cheap to copy; subtracting two timestamps
@@ -25,9 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let b = a + SimDuration::from_millis(250);
 /// assert_eq!(b - a, SimDuration::from_millis(250));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -89,9 +85,7 @@ impl Sub<Timestamp> for Timestamp {
 /// Used for the paper's tunables: the temporal-proximity threshold δ
 /// (2 000 ms in the prototype), the shared-memory fault wait list
 /// (500 ms), and the clickjacking visibility threshold.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

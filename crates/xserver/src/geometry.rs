@@ -5,10 +5,8 @@
 //! in turn needs an occlusion test: how much of a window is covered by
 //! windows stacked above it.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in screen coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: i32,
@@ -24,7 +22,7 @@ impl Point {
 }
 
 /// An axis-aligned rectangle (origin + size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     /// Left edge.
     pub x: i32,

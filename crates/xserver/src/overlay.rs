@@ -8,10 +8,9 @@
 //! (the cat image in the paper's Figure 5).
 
 use overhaul_sim::{SimDuration, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// One alert shown on the trusted overlay.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
     /// Name of the process that accessed (or attempted) the resource.
     pub process: String,

@@ -16,10 +16,9 @@
 use std::fmt;
 
 use overhaul_sim::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a prompt instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PromptId(u64);
 
 impl PromptId {
@@ -36,7 +35,7 @@ impl fmt::Display for PromptId {
 }
 
 /// Lifecycle of a prompt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PromptState {
     /// Waiting for the user.
     Pending,
@@ -47,7 +46,7 @@ pub enum PromptState {
 }
 
 /// One permission prompt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prompt {
     /// Prompt id.
     pub id: PromptId,

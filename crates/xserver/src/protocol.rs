@@ -16,13 +16,12 @@
 use std::fmt;
 
 use overhaul_sim::{Pid, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::Rect;
 use crate::window::WindowId;
 
 /// Identifier of a connected X client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(u32);
 
 impl ClientId {
@@ -44,7 +43,7 @@ impl fmt::Display for ClientId {
 }
 
 /// An interned atom name (property names, selection names).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Atom(String);
 
 impl Atom {
@@ -85,7 +84,7 @@ impl From<&str> for Atom {
 /// permission monitor (`op ∈ {copy, paste, scr}` of the paper's notation;
 /// device ops never transit this interface — the kernel mediates those
 /// internally).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DisplayOp {
     /// Clipboard copy (selection-ownership assertion).
     Copy,
@@ -151,7 +150,7 @@ impl MonitorLink for DenyAllLink {
 }
 
 /// An input event as delivered to clients.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InputPayload {
     /// A key press (simplified to a character).
     Key {
@@ -168,7 +167,7 @@ pub enum InputPayload {
 }
 
 /// An event queued for delivery to a client.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XEvent {
     /// An input event. `synthetic` is the core-protocol `SendEvent` flag:
     /// true for anything not generated by a hardware device.
@@ -213,7 +212,7 @@ pub enum XEvent {
 }
 
 /// A request from a client to the X server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Creates an (unmapped) window.
     CreateWindow {
@@ -348,7 +347,7 @@ pub enum Request {
 }
 
 /// A successful reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Nothing to return.
     Ok,
@@ -363,7 +362,7 @@ pub enum Reply {
 }
 
 /// An X protocol error returned to the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XError {
     /// `BadWindow`: unknown window id.
     BadWindow,

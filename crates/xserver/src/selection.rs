@@ -14,13 +14,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::protocol::{Atom, ClientId};
 use crate::window::WindowId;
 
 /// An in-flight clipboard transfer (steps 6–13 of Figure 6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
     /// The selection owner converting the data.
     pub source: ClientId,
@@ -37,7 +35,7 @@ pub struct Transfer {
 }
 
 /// Ownership and transfer state of one selection.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SelectionState {
     /// Current owner, with the window it asserted ownership through.
     pub owner: Option<(ClientId, WindowId)>,

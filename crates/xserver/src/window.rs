@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use overhaul_sim::{Slab, SlotId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Point, Rect};
 use crate::protocol::{Atom, ClientId, XError};
@@ -21,7 +20,7 @@ use crate::protocol::{Atom, ClientId, XError};
 pub const OCCLUSION_LIMIT: f64 = 0.5;
 
 /// Identifier of a window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WindowId(u64);
 
 impl WindowId {
