@@ -17,7 +17,8 @@
 //!   run on every query).
 //! - `wire query`   — the legacy decision route for display-mediated
 //!   operations: one netlink `PermissionQuery` round-trip per op, paying
-//!   the modeled user/kernel boundary RTT.
+//!   the modelled user/kernel boundary RTT (the kernel charges it; this
+//!   row spins it).
 //! - `hit+tracing`  — the cached path again, with an enabled span tracer
 //!   installed: what always-on observability costs on the hottest route.
 //!
@@ -29,6 +30,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use overhaul_bench::spin;
 use overhaul_kernel::monitor::ResourceOp;
 use overhaul_kernel::netlink::{ConnId, NetlinkMessage, NetlinkReply};
 use overhaul_kernel::policy::{OpRequest, PolicyEngine};
@@ -174,11 +176,12 @@ fn paired_hit_and_traced(f: &mut Fixture, iters: u64) -> (f64, f64, f64) {
 }
 
 /// The legacy wire route: one netlink `PermissionQuery` round-trip per
-/// operation.
+/// operation, each spinning the round trip the kernel charged for it.
 fn bench_wire_query(f: &mut Fixture, iters: u64) -> Duration {
     let mut i = 0usize;
     let start = Instant::now();
     for _ in 0..iters {
+        let before = f.kernel.modelled_cost().total_ns();
         let pid = f.pids[i];
         i = (i + 1) % f.pids.len();
         let reply = f
@@ -195,6 +198,9 @@ fn bench_wire_query(f: &mut Fixture, iters: u64) -> Duration {
         black_box(matches!(
             reply,
             NetlinkReply::QueryResponse(d) if d.verdict.is_grant()
+        ));
+        spin(Duration::from_nanos(
+            f.kernel.modelled_cost().total_ns() - before,
         ));
     }
     start.elapsed()

@@ -16,15 +16,37 @@
 //! Binaries under `src/bin/` print the corresponding tables. The
 //! repository benchmark (`benchmark/`) times the [`table1`] operations
 //! with quartiles over seeds.
+//!
+//! The simulated machines charge the real-world cost of expensive
+//! operations to a counter instead of waiting it out
+//! ([`overhaul_sim::work`]). Only the harnesses that time against real
+//! denominators turn the charges back into wall time with [`spin`]: the
+//! [`table1`] iterations and `decision_path`'s wire-query row.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+use std::time::{Duration, Instant};
 
 pub mod ablation;
 pub mod applicability;
 pub mod attacks;
 pub mod table1;
 pub mod usability;
+
+/// Busy-waits for `d` of wall-clock time.
+///
+/// Durations below ~100 ns are not reliably resolvable and may take
+/// slightly longer.
+pub fn spin(d: Duration) {
+    if d.is_zero() {
+        return;
+    }
+    let start = Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
 
 /// Renders a list of (label, value) pairs as an aligned two-column block.
 pub fn format_kv(rows: &[(String, String)]) -> String {
@@ -33,4 +55,23 @@ pub fn format_kv(rows: &[(String, String)]) -> String {
         .map(|(k, v)| format!("  {k:<width$}  {v}"))
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spin_takes_at_least_the_requested_time() {
+        let start = Instant::now();
+        spin(Duration::from_micros(200));
+        assert!(start.elapsed() >= Duration::from_micros(200));
+    }
+
+    #[test]
+    fn zero_spin_returns_immediately() {
+        let start = Instant::now();
+        spin(Duration::ZERO);
+        assert!(start.elapsed() < Duration::from_millis(5));
+    }
 }

@@ -18,6 +18,12 @@
 //! Alert rendering is excluded from the measured path — on the real system
 //! the display manager renders asynchronously — by disabling device alerts
 //! in the measurement configuration.
+//!
+//! The machines charge the modelled real-world cost of driver opens, X
+//! and netlink round trips, alert rendering, framebuffer copies and file
+//! creation ([`overhaul_sim::work`]) instead of waiting it out. Each
+//! `*_iter` below spins what its operation charged, so every row times
+//! the paper's baseline per-operation cost plus the simulator's own work.
 
 use std::time::{Duration, Instant};
 
@@ -27,6 +33,8 @@ use overhaul_sim::{Pid, SimDuration};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, ClientId, Reply, Request, XEvent};
 use overhaul_xserver::window::WindowId;
+
+use crate::spin;
 
 /// Clear audit logs every this many operations so unbounded log growth
 /// does not distort long measurement loops.
@@ -108,6 +116,11 @@ fn measurement_config(protected: bool) -> OverhaulConfig {
     config
 }
 
+/// Wall time for the cost `system` charged since its total read `before`.
+fn charged_since(system: &System, before: u64) -> Duration {
+    Duration::from_nanos(system.modelled_cost().total_ns() - before)
+}
+
 // ------------------------------------------------------------------
 // Device access
 // ------------------------------------------------------------------
@@ -134,6 +147,7 @@ pub fn device_setup(protected: bool) -> DeviceBench {
 
 /// One iteration: open the microphone node and close it again.
 pub fn device_iter(bench: &mut DeviceBench) {
+    let before = bench.system.modelled_cost().total_ns();
     let kernel = bench.system.kernel_mut();
     let fd = kernel
         .sys_open(bench.pid, "/dev/snd/mic0", OpenMode::ReadOnly)
@@ -143,6 +157,7 @@ pub fn device_iter(bench: &mut DeviceBench) {
     if bench.ops.is_multiple_of(AUDIT_CLEAR_INTERVAL) {
         kernel.clear_history();
     }
+    spin(charged_since(&bench.system, before));
 }
 
 // ------------------------------------------------------------------
@@ -196,6 +211,7 @@ pub fn clipboard_setup(protected: bool) -> ClipboardBench {
 
 /// One iteration: a full ICCCM paste (steps 6–13 of Figure 6).
 pub fn clipboard_iter(bench: &mut ClipboardBench) {
+    let before = bench.system.modelled_cost().total_ns();
     // Grant-all mode answers the paste query positively even without
     // clicks, exercising the whole path.
     let property = Atom::new("XSEL_DATA");
@@ -269,6 +285,7 @@ pub fn clipboard_iter(bench: &mut ClipboardBench) {
         bench.system.kernel_mut().clear_history();
         bench.system.xserver_mut().clear_history();
     }
+    spin(charged_since(&bench.system, before));
 }
 
 // ------------------------------------------------------------------
@@ -298,6 +315,7 @@ pub fn screen_setup(protected: bool) -> ScreenBench {
 
 /// One iteration: capture the root window (`GetImage`).
 pub fn screen_iter(bench: &mut ScreenBench) {
+    let before = bench.system.modelled_cost().total_ns();
     match bench
         .system
         .x_request(bench.client, Request::GetImage { window: None })
@@ -306,6 +324,7 @@ pub fn screen_iter(bench: &mut ScreenBench) {
         Reply::Image(pixels) => assert!(!pixels.is_empty()),
         other => panic!("unexpected reply {other:?}"),
     }
+    spin(charged_since(&bench.system, before));
 }
 
 // ------------------------------------------------------------------
@@ -349,6 +368,7 @@ pub fn shm_setup(protected: bool, pages: usize) -> ShmBench {
 /// virtual time advances past the wait window so the fault machinery
 /// re-arms, as it would under a real clock.
 pub fn shm_iter(bench: &mut ShmBench) {
+    let before = bench.system.modelled_cost().total_ns();
     let offset = bench.cursor % (bench.segment_bytes - 8);
     bench.cursor = bench.cursor.wrapping_add(4097);
     bench
@@ -360,6 +380,7 @@ pub fn shm_iter(bench: &mut ShmBench) {
     if bench.ops.is_multiple_of(4096) {
         bench.system.advance(SimDuration::from_millis(600));
     }
+    spin(charged_since(&bench.system, before));
 }
 
 // ------------------------------------------------------------------
@@ -394,6 +415,7 @@ pub fn fs_setup(protected: bool) -> FsBench {
 
 /// One iteration: create, stat, and delete one empty file.
 pub fn fs_iter(bench: &mut FsBench) {
+    let before = bench.system.modelled_cost().total_ns();
     let path = format!("/tmp/bonnie/f{}", bench.counter);
     bench.counter += 1;
     let kernel = bench.system.kernel_mut();
@@ -401,6 +423,7 @@ pub fn fs_iter(bench: &mut FsBench) {
     kernel.sys_close(bench.pid, fd).expect("close");
     kernel.sys_stat(bench.pid, &path).expect("stat");
     kernel.sys_unlink(bench.pid, &path).expect("unlink");
+    spin(charged_since(&bench.system, before));
 }
 
 // ------------------------------------------------------------------
@@ -603,6 +626,51 @@ mod tests {
         }
         assert!(protected.system.kernel().mm_stats().faults > 0);
         assert_eq!(baseline.system.kernel().mm_stats().faults, 0);
+    }
+
+    /// Modelled nanoseconds one iteration charges: the Table I
+    /// denominator its spin waits out.
+    fn charge<B>(mut bench: B, system: fn(&B) -> &System, iter: fn(&mut B)) -> u64 {
+        let before = system(&bench).modelled_cost().total_ns();
+        iter(&mut bench);
+        system(&bench).modelled_cost().total_ns() - before
+    }
+
+    #[test]
+    fn iterations_charge_the_modelled_per_operation_costs() {
+        // (row, baseline ns, protected ns)
+        let rows = [
+            // Four X request round trips; protected adds the paste query.
+            ("paste", 920_000, 950_000),
+            ("device open", 4_500, 4_500),
+            ("file cycle", 20_000, 20_000),
+            ("shm store", 0, 0),
+            // One request round trip plus 1920x1080 pixels at 33 ns;
+            // protected adds the netlink query and the capture alert.
+            ("root capture", 68_658_800, 70_188_800),
+        ];
+        for protected in [false, true] {
+            let charged = [
+                charge(clipboard_setup(protected), |b| &b.system, clipboard_iter),
+                charge(device_setup(protected), |b| &b.system, device_iter),
+                charge(fs_setup(protected), |b| &b.system, fs_iter),
+                charge(shm_setup(protected, 4), |b| &b.system, shm_iter),
+                charge(screen_setup(protected), |b| &b.system, screen_iter),
+            ];
+            for ((row, base, prot), ns) in rows.into_iter().zip(charged) {
+                let want = if protected { prot } else { base };
+                assert_eq!(ns, want, "{row} charge (protected: {protected})");
+            }
+        }
+    }
+
+    #[test]
+    fn protected_paste_spins_its_modelled_cost() {
+        let mut bench = clipboard_setup(true);
+        let start = Instant::now();
+        clipboard_iter(&mut bench);
+        // A lower bound only: a slow host can never fail it.
+        assert!(start.elapsed() >= Duration::from_micros(950));
     }
 
     #[test]

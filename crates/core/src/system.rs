@@ -15,7 +15,7 @@ use overhaul_kernel::{Kernel, XORG_PATH};
 use overhaul_sim::snapshot::{fnv1a64, Dec, Enc, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, ControlPlane, FaultPlan, Fd, Ledger, LedgerError, Mechanism,
-    Pid, SimDuration, SketchBook, Sketches, Timestamp, Tracer,
+    ModelledCost, Pid, SimDuration, SketchBook, Sketches, Timestamp, Tracer,
 };
 use overhaul_xserver::geometry::{Point, Rect};
 use overhaul_xserver::overlay::Alert;
@@ -269,6 +269,15 @@ impl System {
     /// The display manager.
     pub fn xserver(&self) -> &XServer {
         &self.x
+    }
+
+    /// Modelled real-world cost the kernel and the display manager have
+    /// charged (see [`overhaul_sim::work`]). Never part of a snapshot or
+    /// the state hash; zero on a restored machine. Harnesses that need
+    /// realistic wall time read it around an operation and wait out the
+    /// difference.
+    pub fn modelled_cost(&self) -> ModelledCost {
+        self.kernel.modelled_cost() + self.x.modelled_cost()
     }
 
     /// Mutable display-manager access.

@@ -126,17 +126,10 @@ impl DeviceRegistry {
         self.devices.get(&id).ok_or(Errno::Enodev)
     }
 
-    /// Per-open driver bring-up cost. Table I measures 45.2 s for 10 M
-    /// baseline opens of the microphone node — about 4.5 µs per `open(2)`
-    /// — so the simulated driver performs that much work.
-    pub const DRIVER_OPEN_COST_NANOS: u64 = 4_500;
-
-    /// Records a successful open of the device node, performing the
-    /// calibrated driver bring-up work.
+    /// Records a successful open of the device node.
     pub fn record_open(&mut self, id: DeviceId) -> SysResult<()> {
         let device = self.devices.get_mut(&id).ok_or(Errno::Enodev)?;
         device.opens += 1;
-        overhaul_sim::work::spin_nanos(Self::DRIVER_OPEN_COST_NANOS);
         Ok(())
     }
 

@@ -61,6 +61,7 @@ pub mod vfs;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
+use overhaul_sim::work::{self, ModelledCost};
 use overhaul_sim::{
     AuditCategory, AuditLog, ChannelFault, ChannelTag, Clock, ConfigKey, ControlPlane, Effect,
     FaultPlan, Ledger, LedgerEntry, Mechanism, MetricsRegistry, Pid, RuleKind, SimDuration,
@@ -227,6 +228,9 @@ pub struct Kernel {
     /// the book rides in the machine snapshot's aux section, like the
     /// tracer buffer.
     sketch: Sketches,
+    /// Modelled real-world cost charged by driver opens, netlink exchanges
+    /// and file creations. Never serialized, like `snapshot_stats`.
+    cost: ModelledCost,
 }
 
 impl Kernel {
@@ -287,6 +291,7 @@ impl Kernel {
             metrics: MetricsRegistry::new(),
             snapshot_stats: SnapshotStats::default(),
             sketch: Sketches::new(),
+            cost: ModelledCost::default(),
             vfs,
             clock,
             config,
@@ -471,6 +476,13 @@ impl Kernel {
     /// The kernel's sketch handle.
     pub fn sketches(&self) -> &Sketches {
         &self.sketch
+    }
+
+    /// Modelled cost this kernel instance has charged (see
+    /// [`overhaul_sim::work`]): device-node opens, netlink exchanges and
+    /// file creations. Zero on a kernel rebuilt from a snapshot.
+    pub fn modelled_cost(&self) -> ModelledCost {
+        self.cost
     }
 
     /// Declares whether mediation depends on a live display channel. When
@@ -768,12 +780,6 @@ impl Kernel {
         Ok(conn)
     }
 
-    /// Round-trip cost of one netlink exchange: two user/kernel boundary
-    /// crossings plus wakeups. Derived from Table I's clipboard row, where
-    /// the paste-time permission query accounts for ~35 µs of overhead per
-    /// operation on the paper's testbed.
-    pub const NETLINK_RTT_MICROS: u64 = 30;
-
     /// Handles one userspace→kernel message on an established channel,
     /// subject to the installed fault plan: the message may be delayed,
     /// duplicated (and deduplicated by sequence number), reordered behind
@@ -845,7 +851,7 @@ impl Kernel {
         msg: NetlinkMessage,
         span: Option<overhaul_sim::SpanId>,
     ) -> Result<NetlinkReply, NetlinkError> {
-        overhaul_sim::work::spin_micros(Self::NETLINK_RTT_MICROS);
+        self.cost.netlink_rtt_ns += work::NETLINK_RTT_NS;
         self.netlink.authenticate(conn)?;
         let seq = self.netlink.assign_seq(conn)?;
         self.tracer.add_field(span, "seq", TraceValue::U64(seq));

@@ -21,9 +21,12 @@
 //!
 //! The shared virtual clock, tracer and fault plan are owned by the
 //! system harness, which serializes each once and hands the imported
-//! handles back in — the kernel never duplicates them.
+//! handles back in — the kernel never duplicates them. The modelled-cost
+//! counter, like [`SnapshotStats`], is not state: a restored kernel
+//! starts it at zero.
 
 use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
+use overhaul_sim::work::ModelledCost;
 use overhaul_sim::{impl_pack, Clock, FaultPlan, MetricsRegistry, Sketches, Tracer};
 
 use crate::policy::VerdictCache;
@@ -159,6 +162,7 @@ impl Kernel {
             metrics: MetricsRegistry::new(),
             snapshot_stats: SnapshotStats::default(),
             sketch: Sketches::new(),
+            cost: ModelledCost::default(),
             clock,
             tracer,
             fault,

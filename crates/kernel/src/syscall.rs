@@ -18,6 +18,7 @@
 //! (no offsets), writes append, and the open mode is not re-checked on
 //! subsequent reads/writes.
 
+use overhaul_sim::work;
 use overhaul_sim::{
     AuditCategory, ChannelTag, Effect, Fd, LedgerEntry, Pid, Timestamp, TraceValue, Uid,
 };
@@ -332,6 +333,7 @@ impl Kernel {
                     // helper-lag gap.
                 }
                 self.devices.record_open(device)?;
+                self.cost.driver_open_ns += work::DRIVER_OPEN_NS;
                 Ok(self
                     .caller_mut(pid)?
                     .install_fd(FileDescription::Device { device }))
@@ -360,6 +362,7 @@ impl Kernel {
     /// [`Errno::Eexist`] if the path exists.
     pub fn sys_creat(&mut self, pid: Pid, path: &str, mode: u16) -> SysResult<Fd> {
         let uid = self.caller(pid)?.uid();
+        self.cost.file_create_ns += work::FILE_CREATE_NS;
         let inode = self.vfs.create_file(path, uid, mode)?;
         Ok(self
             .caller_mut(pid)?

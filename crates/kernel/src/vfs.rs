@@ -278,14 +278,8 @@ impl Vfs {
         }
     }
 
-    /// Per-create disk/journal cost. Table I's Bonnie++ row measures
-    /// ~47 300 file creations per second on the baseline — about 21 µs per
-    /// create — so file creation performs that much work.
-    pub const FILE_CREATE_COST_MICROS: u64 = 20;
-
-    /// Creates an empty regular file (including the calibrated disk work).
+    /// Creates an empty regular file.
     pub fn create_file(&mut self, path: &str, owner: Uid, mode: u16) -> SysResult<InodeId> {
-        overhaul_sim::work::spin_micros(Self::FILE_CREATE_COST_MICROS);
         let (parent, name) = split_parent(path)?;
         let id = self.alloc(InodeKind::Regular { data: Vec::new() }, owner, mode);
         match self.insert_child(&parent, name, id) {

@@ -29,6 +29,9 @@
 //!   running chain hash ([`Ledger::verify_chain`]), the legacy
 //!   [`AuditLog`] maintained as a rendered projection, and control-plane
 //!   state as a deterministic reduction ([`ControlPlane`]).
+//! * [`work`] — the calibrated cost model: real-world costs of the
+//!   operations the simulator executes in nanoseconds, charged to a
+//!   per-machine [`ModelledCost`] instead of being waited out.
 //!
 //! # Example
 //!
@@ -73,3 +76,4 @@ pub use time::{Clock, SimDuration, Timestamp};
 pub use trace::{
     label_metric, MetricsRegistry, SpanId, SpanKind, SpanNode, Tracer, Value as TraceValue,
 };
+pub use work::ModelledCost;

@@ -58,6 +58,7 @@ pub mod window;
 
 use std::borrow::Cow;
 
+use overhaul_sim::work::{self, ModelledCost};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, Ledger, LedgerEntry, Pid, SimDuration, Timestamp, TraceValue,
     Tracer,
@@ -132,22 +133,12 @@ pub struct XServer {
     /// installs a shared enabled handle, in which case the display manager
     /// records into the same trace as the kernel.
     tracer: Tracer,
+    /// Modelled real-world cost charged by requests, alerts, prompts and
+    /// captures. Instance-level: never serialized or hashed.
+    cost: ModelledCost,
 }
 
 impl XServer {
-    /// Per-request client<->server round-trip cost (see [`XServer::request`]).
-    pub const REQUEST_RTT_MICROS: u64 = 230;
-
-    /// Per-pixel capture/transfer cost for `GetImage`-family requests.
-    /// Table I's screen-capture row (68.26 s baseline / 1 000 full-screen
-    /// captures at 1920x1080) works out to ~33 ns per pixel.
-    pub const CAPTURE_COST_PER_PIXEL_NANOS: u64 = 33;
-
-    /// Overlay alert rendering cost. Table I's screen-capture row shows
-    /// +1.6 ms per capture under Overhaul, dominated by compositing the
-    /// alert banner.
-    pub const ALERT_RENDER_MICROS: u64 = 1_500;
-
     /// Starts a server on the shared virtual clock.
     pub fn new(clock: Clock, config: XConfig) -> Self {
         let alerts = AlertManager::new(config.shared_secret.clone(), config.alert_duration);
@@ -163,6 +154,7 @@ impl XServer {
             focus: None,
             ledger: Ledger::new(),
             tracer: Tracer::disabled(),
+            cost: ModelledCost::default(),
         }
     }
 
@@ -175,6 +167,14 @@ impl XServer {
     /// The server's tracer handle (disabled unless one was installed).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// Modelled cost this server instance has charged (see
+    /// [`overhaul_sim::work`]): request round trips, overlay alerts and
+    /// prompts drawn, and captured pixels. Zero on a server rebuilt from a
+    /// snapshot.
+    pub fn modelled_cost(&self) -> ModelledCost {
+        self.cost
     }
 
     /// Current configuration.
@@ -237,9 +237,9 @@ impl XServer {
     /// Displays an unforgeable permission prompt on the trusted output
     /// path. Returns `None` while another prompt is pending.
     pub fn ask_prompt(&mut self, process: &str, op: &str) -> Option<PromptId> {
-        overhaul_sim::work::spin_micros(Self::ALERT_RENDER_MICROS);
         let now = self.clock.now();
         let id = self.prompts.ask(process, op, now)?;
+        self.cost.alert_render_ns += work::ALERT_RENDER_NS;
         self.record(
             now,
             AuditCategory::AlertDisplayed,
@@ -459,7 +459,7 @@ impl XServer {
         granted: bool,
         reason: Option<&str>,
     ) -> Alert {
-        overhaul_sim::work::spin_micros(Self::ALERT_RENDER_MICROS);
+        self.cost.alert_render_ns += work::ALERT_RENDER_NS;
         let now = self.clock.now();
         let alert = self
             .alerts
@@ -493,7 +493,7 @@ impl XServer {
         granted: bool,
         reason: Option<&str>,
     ) -> Alert {
-        overhaul_sim::work::spin_micros(Self::ALERT_RENDER_MICROS);
+        self.cost.alert_render_ns += work::ALERT_RENDER_NS;
         let now = self.clock.now();
         let alert = self
             .alerts
@@ -528,11 +528,7 @@ impl XServer {
         request: Request,
         link: &mut dyn MonitorLink,
     ) -> Result<Reply, XError> {
-        // Each request costs one client<->server socket round trip plus the
-        // server's dispatch critical section. Table I's clipboard row
-        // (116.48 s baseline / 100 k pastes, ~5 requests per paste) puts
-        // this near 230 us on the paper's testbed.
-        overhaul_sim::work::spin_micros(Self::REQUEST_RTT_MICROS);
+        self.cost.x_request_rtt_ns += work::X_REQUEST_RTT_NS;
         // Validate the connection first; everything below may assume it.
         let pid = self.clients.pid_of(client)?;
         let now = self.clock.now();
@@ -692,8 +688,7 @@ impl XServer {
             Some(w) => self.windows.get(w)?.pixels().to_vec(),
             None => self.composite_root(),
         };
-        // Framebuffer read-back + transfer to the client.
-        overhaul_sim::work::spin_nanos(pixels.len() as u64 * Self::CAPTURE_COST_PER_PIXEL_NANOS);
+        self.cost.framebuffer_copy_ns += pixels.len() as u64 * work::CAPTURE_NS_PER_PIXEL;
         Ok(Reply::Image(pixels))
     }
 

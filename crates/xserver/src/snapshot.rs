@@ -8,9 +8,11 @@
 //! focus, and the hash-chained ledger (the audit log is rebuilt from it as
 //! a projection on decode). The shared virtual clock and tracer are owned
 //! by the system harness, which serializes each once and hands the
-//! imported handles back in.
+//! imported handles back in. The modelled-cost counter is not state: a
+//! restored server starts it at zero.
 
 use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
+use overhaul_sim::work::ModelledCost;
 use overhaul_sim::{impl_pack, Clock, Tracer};
 
 use crate::{XConfig, XServer};
@@ -62,6 +64,7 @@ impl XServer {
             ledger: Pack::unpack(dec)?,
             clock,
             tracer,
+            cost: ModelledCost::default(),
         })
     }
 }

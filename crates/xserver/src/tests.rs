@@ -1,6 +1,7 @@
 //! Integration-style tests for the X server's Overhaul enhancements,
 //! using a mock monitor link in place of the kernel.
 
+use overhaul_sim::work::ALERT_RENDER_NS;
 use overhaul_sim::{AuditCategory, Clock, Pid, SimDuration, Timestamp};
 
 use crate::geometry::{Point, Rect};
@@ -1101,4 +1102,15 @@ fn fake_alert_window_is_distinguishable_from_overlay() {
         "[???] totally-legit is using the mic",
         rig.x.alerts().secret()
     ));
+}
+
+#[test]
+fn refused_prompt_is_not_charged() {
+    let mut rig = Rig::new();
+    assert!(rig.x.ask_prompt("skype", "mic").is_some());
+    let charged = rig.x.modelled_cost();
+    assert_eq!(charged.alert_render_ns, ALERT_RENDER_NS);
+    // Another prompt is pending: nothing is drawn, so nothing is charged.
+    assert!(rig.x.ask_prompt("zoom", "cam").is_none());
+    assert_eq!(rig.x.modelled_cost(), charged);
 }

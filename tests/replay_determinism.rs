@@ -15,10 +15,14 @@
 //! any derived cache that leaks into decisions, or any hidden
 //! nondeterminism in the fault plan's RNG stream shows up here as a hash
 //! or trace mismatch. CI runs this suite as its `replay-determinism` step.
+//!
+//! The machine's modelled cost ([`System::modelled_cost`]) is not state,
+//! but it is a pure function of the events applied: a replay charges
+//! exactly what the recording charged for the same events.
 
 use overhaul_core::{replay, replay_from, Event, EventLog, Gui, OverhaulConfig, Recorder, System};
 use overhaul_sim::snapshot::Snapshot;
-use overhaul_sim::{FaultSpec, Pid, SimDuration, SimRng};
+use overhaul_sim::{FaultSpec, ModelledCost, Pid, SimDuration, SimRng};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, ClientId, InputPayload, Request, XEvent};
 
@@ -173,14 +177,19 @@ impl RecordedSoak {
 
 /// Records a faulted soak with scheduled display-manager crashes, taking a
 /// checkpoint at the halfway point. Returns the recorded machine, the
-/// sealed log, the mid-run snapshot, and the event index it was taken at.
-fn record_soak(seed: u64, steps: usize) -> (System, EventLog, Snapshot, usize) {
+/// sealed log, the mid-run snapshot, the event index it was taken at, and
+/// the recorder's modelled cost at that point.
+fn record_soak(seed: u64, steps: usize) -> (System, EventLog, Snapshot, usize, ModelledCost) {
     let mut soak = RecordedSoak::new(seed);
     let mut checkpoint = None;
     for i in 0..steps {
         if i == steps / 2 {
             let snap = soak.rec.snapshot();
-            checkpoint = Some((snap, soak.rec.events_recorded()));
+            checkpoint = Some((
+                snap,
+                soak.rec.events_recorded(),
+                soak.rec.system().modelled_cost(),
+            ));
         }
         // A crash roughly every 90 steps, restarted ~10 steps later.
         if i % 90 == 40 && soak.rec.system().x_alive() {
@@ -194,14 +203,14 @@ fn record_soak(seed: u64, steps: usize) -> (System, EventLog, Snapshot, usize) {
     if !soak.rec.system().x_alive() {
         let _ = soak.rec.apply(Event::RestartX);
     }
-    let (snap, at) = checkpoint.expect("steps / 2 reached");
+    let (snap, at, cost) = checkpoint.expect("steps / 2 reached");
     let (recorded, log) = soak.rec.finish();
-    (recorded, log, snap, at)
+    (recorded, log, snap, at, cost)
 }
 
 #[test]
 fn faulted_soak_replays_byte_identically_from_boot() {
-    let (recorded, log, _, _) = record_soak(42, 220);
+    let (recorded, log, _, _, _) = record_soak(42, 220);
     let replayed = replay(&log).expect("replay boots");
     assert_eq!(
         replayed.state_hash(),
@@ -223,7 +232,7 @@ fn faulted_soak_replays_byte_identically_from_boot() {
 
 #[test]
 fn faulted_soak_replays_byte_identically_from_mid_run_snapshot() {
-    let (recorded, log, snap, at) = record_soak(42, 220);
+    let (recorded, log, snap, at, _) = record_soak(42, 220);
     let resumed = replay_from(&snap, log.suffix(at), log.final_state_hash).expect("restore");
     assert_eq!(
         resumed.state_hash(),
@@ -245,7 +254,7 @@ fn faulted_soak_replays_byte_identically_from_mid_run_snapshot() {
 
 #[test]
 fn second_seed_replays_byte_identically_both_ways() {
-    let (recorded, log, snap, at) = record_soak(20_260_805, 180);
+    let (recorded, log, snap, at, _) = record_soak(20_260_805, 180);
     let replayed = replay(&log).expect("replay boots");
     assert_eq!(replayed.state_hash(), recorded.state_hash());
     assert_eq!(replayed.trace_dump(), recorded.trace_dump());
@@ -258,11 +267,31 @@ fn second_seed_replays_byte_identically_both_ways() {
 fn divergence_is_detected_not_masked() {
     // Tamper with the recorded hash: the replay machinery must notice and
     // count it on the kernel gauge rather than silently passing.
-    let (_, mut log, snap, at) = record_soak(7, 60);
+    let (_, mut log, snap, at, _) = record_soak(7, 60);
     let truth = log.final_state_hash.unwrap();
     log.final_state_hash = Some(truth ^ 0xdead_beef);
     let replayed = replay(&log).expect("replay boots");
     assert_eq!(replayed.kernel().snapshot_stats().replay_divergence, 1);
     let resumed = replay_from(&snap, log.suffix(at), log.final_state_hash).expect("restore");
     assert_eq!(resumed.kernel().snapshot_stats().replay_divergence, 1);
+}
+
+#[test]
+fn modelled_cost_is_a_pure_function_of_the_events() {
+    let (recorded, log, snap, at, at_checkpoint) = record_soak(42, 220);
+    let charged = recorded.modelled_cost();
+    assert!(at_checkpoint.total_ns() > 0 && charged.total_ns() > at_checkpoint.total_ns());
+
+    let replayed = replay(&log).expect("replay boots");
+    assert_eq!(replayed.modelled_cost(), charged, "replay from boot");
+
+    // A restored machine starts from zero and charges only the suffix.
+    let restored = System::from_snapshot(&snap).expect("restore");
+    assert_eq!(restored.modelled_cost(), ModelledCost::default());
+    let resumed = replay_from(&snap, log.suffix(at), log.final_state_hash).expect("restore");
+    assert_eq!(
+        resumed.modelled_cost() + at_checkpoint,
+        charged,
+        "replay from the snapshot"
+    );
 }
