@@ -7,8 +7,11 @@ use overhaul_bench::ablation::{sweep_delta, sweep_propagation, sweep_shm_wait, s
 use overhaul_bench::applicability;
 use overhaul_bench::table1::{self, Scale};
 use overhaul_bench::usability::{self, StudyConfig};
-use overhaul_core::{replay, replay_from, Event, EventLog, OverhaulConfig, Recorder, System};
+use overhaul_core::{
+    replay, replay_from, timeline, Event, EventLog, OverhaulConfig, Recorder, System,
+};
 use overhaul_kernel::device::DeviceClass;
+use overhaul_sim::snapshot::fnv1a64;
 use overhaul_sim::SimDuration;
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, Reply, Request, XEvent};
@@ -179,6 +182,76 @@ fn replay_golden_audit_timeline() {
     let (recorded, log) = rec.finish();
     assert_replay_golden(&recorded, &log);
 }
+
+/// Pins the `audit_timeline` example's output as constants, so a change
+/// that alters the merged timeline, the state hash, the ledger head or the
+/// metrics page fails here instead of only when two runs of one build are
+/// compared. A change that moves these on purpose updates them and says
+/// why in CHANGES.md.
+#[test]
+fn audit_timeline_example_output_is_pinned() {
+    let mut machine = System::protected();
+    let recorder = machine
+        .launch_gui_app("/usr/bin/recorder", Rect::new(0, 0, 300, 200))
+        .expect("launch");
+    machine.settle();
+    machine.click_window(recorder.window);
+    machine.advance(SimDuration::from_millis(120));
+    let fd = machine
+        .open_device(recorder.pid, "/dev/snd/mic0")
+        .expect("open");
+    machine
+        .kernel_mut()
+        .sys_close(recorder.pid, fd)
+        .expect("close");
+    machine
+        .x_request(
+            recorder.client,
+            Request::SetSelectionOwner {
+                selection: Atom::clipboard(),
+                window: recorder.window,
+            },
+        )
+        .ok();
+    machine.advance(SimDuration::from_secs(30));
+    let spy = machine.spawn_process(None, "/usr/bin/.spy").expect("spawn");
+    let _ = machine.open_device(spy, "/dev/video0");
+    let spy_client = machine.connect_x(spy);
+    let _ = machine.x_request(spy_client, Request::GetImage { window: None });
+
+    let rendered = timeline::render(&timeline::merge(&machine), None);
+    assert_eq!(rendered, AUDIT_TIMELINE_GOLDEN);
+    assert_eq!(
+        (
+            machine.state_hash(),
+            machine.ledger_head(),
+            fnv1a64(machine.metrics().as_bytes()),
+        ),
+        (
+            0xb088_8d7c_8819_fa4a,
+            0xec3f_0841_b5d8_6f28,
+            0xb0bf_94b4_00e2_71f7
+        ),
+        "state hash, ledger head, metrics page"
+    );
+}
+
+const AUDIT_TIMELINE_GOLDEN: &str = "\
+[t+0ms] kernel info: udev: attached microphone 'built-in mic' at /dev/snd/mic0
+[t+0ms] kernel info: udev: attached camera 'webcam' at /dev/video0
+[t+0ms] kernel info pid:2: netlink: peer authenticated
+[t+0ms] kernel channel-event pid:2: channel state: down -> up
+[t+501ms] kernel interaction-notification pid:3: interaction recorded in task_struct
+[t+501ms] xserver interaction-notification pid:3: hardware input on win:1
+[t+621ms] kernel permission-granted pid:3: op=mic granted
+[t+621ms] kernel permission-granted pid:3: op=copy granted
+[t+621ms] xserver alert-displayed: recorder: mic granted
+[t+621ms] xserver permission-granted pid:3: SetSelectionOwner CLIPBOARD
+[t+30621ms] kernel permission-denied pid:4: op=cam denied
+[t+30621ms] kernel permission-denied pid:4: op=scr denied
+[t+30621ms] xserver alert-displayed: .spy: cam blocked
+[t+30621ms] xserver permission-denied pid:4: GetImage on root
+[t+30621ms] xserver alert-displayed: pid 4: scr blocked";
 
 #[test]
 fn replay_golden_malware_blocked() {
