@@ -310,8 +310,8 @@ impl System {
         self.fault.as_ref()
     }
 
-    /// The kernel-side audit log.
-    pub fn kernel_audit(&self) -> &AuditLog {
+    /// The kernel-side audit log (a view of [`System::kernel_ledger`]).
+    pub fn kernel_audit(&self) -> AuditLog<'_> {
         self.kernel.audit()
     }
 
@@ -370,8 +370,8 @@ impl System {
         self.kernel.metrics_registry()
     }
 
-    /// The display-manager audit log.
-    pub fn x_audit(&self) -> &AuditLog {
+    /// The display-manager audit log (a view of [`System::x_ledger`]).
+    pub fn x_audit(&self) -> AuditLog<'_> {
         self.x.audit()
     }
 
@@ -380,7 +380,7 @@ impl System {
     // ---------------------------------------------------------------
 
     /// The kernel's hash-chained ledger (the authoritative history the
-    /// kernel audit log is projected from).
+    /// kernel audit log reads).
     pub fn kernel_ledger(&self) -> &Ledger {
         self.kernel.ledger()
     }

@@ -7,10 +7,9 @@
 //! single pass answers questions like *which interaction led to this
 //! grant* or *which component blocked this attack*.
 
-use std::borrow::Cow;
 use std::fmt;
 
-use overhaul_sim::{AuditCategory, Pid, Timestamp};
+use overhaul_sim::{LedgerEntry, Pid};
 
 use crate::system::System;
 
@@ -32,64 +31,49 @@ impl fmt::Display for Source {
     }
 }
 
-/// One entry in the merged timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineEntry {
-    /// Virtual time of the event.
-    pub at: Timestamp,
+/// One entry in the merged timeline: an audit row and the component
+/// whose ledger holds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelineEntry<'a> {
     /// Recording component.
     pub source: Source,
-    /// Event category.
-    pub category: AuditCategory,
-    /// Process concerned, if identified.
-    pub pid: Option<Pid>,
-    /// Detail text.
-    pub detail: Cow<'static, str>,
+    /// The audit row.
+    pub entry: &'a LedgerEntry,
 }
 
-impl fmt::Display for TimelineEntry {
+impl fmt::Display for TimelineEntry<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {:>7} {}", self.at, self.source, self.category)?;
-        if let Some(pid) = self.pid {
+        let e = self.entry;
+        write!(f, "[{}] {:>7} {}", e.at, self.source, e.category)?;
+        if let Some(pid) = e.pid {
             write!(f, " {pid}")?;
         }
-        write!(f, ": {}", self.detail)
+        write!(f, ": {}", e.detail)
     }
 }
 
 /// Merges both audit logs into one chronological timeline. Entries with
 /// equal timestamps keep kernel-before-display order (notifications reach
 /// the monitor before the decision they enable).
-pub fn merge(system: &System) -> Vec<TimelineEntry> {
-    let mut entries: Vec<TimelineEntry> =
-        Vec::with_capacity(system.kernel_audit().len() + system.x_audit().len());
-    for event in system.kernel_audit().events() {
-        entries.push(TimelineEntry {
-            at: event.at,
-            source: Source::Kernel,
-            category: event.category,
-            pid: event.pid,
-            detail: event.detail.clone(),
-        });
-    }
-    for event in system.x_audit().events() {
-        entries.push(TimelineEntry {
-            at: event.at,
-            source: Source::DisplayManager,
-            category: event.category,
-            pid: event.pid,
-            detail: event.detail.clone(),
-        });
-    }
-    entries.sort_by_key(|e| (e.at, matches!(e.source, Source::DisplayManager)));
+pub fn merge(system: &System) -> Vec<TimelineEntry<'_>> {
+    let kernel = system.kernel_audit().events().map(|entry| TimelineEntry {
+        source: Source::Kernel,
+        entry,
+    });
+    let x = system.x_audit().events().map(|entry| TimelineEntry {
+        source: Source::DisplayManager,
+        entry,
+    });
+    let mut entries: Vec<TimelineEntry<'_>> = kernel.chain(x).collect();
+    entries.sort_by_key(|e| (e.entry.at, matches!(e.source, Source::DisplayManager)));
     entries
 }
 
 /// Renders a timeline, optionally filtered to one pid.
-pub fn render(entries: &[TimelineEntry], only_pid: Option<Pid>) -> String {
+pub fn render(entries: &[TimelineEntry<'_>], only_pid: Option<Pid>) -> String {
     entries
         .iter()
-        .filter(|e| only_pid.is_none() || e.pid == only_pid)
+        .filter(|e| only_pid.is_none() || e.entry.pid == only_pid)
         .map(|e| e.to_string())
         .collect::<Vec<_>>()
         .join("\n")
@@ -98,7 +82,7 @@ pub fn render(entries: &[TimelineEntry], only_pid: Option<Pid>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overhaul_sim::SimDuration;
+    use overhaul_sim::{AuditCategory, SimDuration};
     use overhaul_xserver::geometry::Rect;
 
     #[test]
@@ -118,21 +102,24 @@ mod tests {
             system.kernel_audit().len() + system.x_audit().len()
         );
         for pair in timeline.windows(2) {
-            assert!(pair[0].at <= pair[1].at, "out of order: {pair:?}");
+            assert!(
+                pair[0].entry.at <= pair[1].entry.at,
+                "out of order: {pair:?}"
+            );
         }
         // The story reads in causal order: notification before grant
         // before alert.
         let interaction = timeline
             .iter()
-            .position(|e| e.category == AuditCategory::InteractionNotification)
+            .position(|e| e.entry.category == AuditCategory::InteractionNotification)
             .expect("interaction present");
         let grant = timeline
             .iter()
-            .position(|e| e.category == AuditCategory::PermissionGranted)
+            .position(|e| e.entry.category == AuditCategory::PermissionGranted)
             .expect("grant present");
         let alert = timeline
             .iter()
-            .position(|e| e.category == AuditCategory::AlertDisplayed)
+            .position(|e| e.entry.category == AuditCategory::AlertDisplayed)
             .expect("alert present");
         assert!(interaction < grant, "notification precedes the grant");
         assert!(grant < alert, "grant precedes the alert");

@@ -176,7 +176,7 @@ pub struct Kernel {
     pub(crate) ptrace: PtracePolicy,
     /// The authoritative hash-chained history. Every audited event and
     /// every control-plane mutation is appended here as a typed entry; the
-    /// legacy audit log survives as the ledger's rendered projection.
+    /// audit log is a view of its non-silent entries.
     pub(crate) ledger: Ledger,
     /// Optional fault plan governing channel faults and boot-time stat
     /// failures. `None` (the default) injects nothing.
@@ -360,18 +360,18 @@ impl Kernel {
         self.mm.set_wait_duration(wait);
     }
 
-    /// The audit log — the rendered projection of the ledger.
-    pub fn audit(&self) -> &AuditLog {
+    /// The audit log: a view of the ledger's non-silent entries.
+    pub fn audit(&self) -> AuditLog<'_> {
         self.ledger.audit()
     }
 
-    /// The authoritative hash-chained history behind the audit view.
+    /// The authoritative hash-chained history the audit log reads.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
 
-    /// Appends a projected informational entry to the ledger (system
-    /// harness events such as a display-manager crash).
+    /// Appends an informational audit row to the ledger (system harness
+    /// events such as a display-manager crash).
     pub fn record_event(
         &mut self,
         category: AuditCategory,
@@ -382,7 +382,7 @@ impl Kernel {
             .append(LedgerEntry::event(self.clock.now(), category, pid, detail));
     }
 
-    /// Discards retained ledger entries and the audit projection
+    /// Discards retained ledger entries, and with them the audit log
     /// (measurement harnesses bound history growth). The chain head and
     /// sequence numbering stay monotone across the clear.
     pub fn clear_history(&mut self) {

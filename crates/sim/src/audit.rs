@@ -4,15 +4,15 @@
 //! applicability study (§V-C) "verified correct functionality by inspecting
 //! the logs produced by our system", and the empirical study (§V-D) checked
 //! "OVERHAUL's logs ... that attempts to access the protected resources were
-//! detected and blocked". This module is that log: every layer appends
-//! [`AuditEvent`]s, and the experiment harnesses query them to produce the
+//! detected and blocked". That log is the hash-chained [`crate::Ledger`]:
+//! every layer appends categorized [`LedgerEntry`]s to it, and
+//! [`AuditLog`] is the view the experiment harnesses query to produce the
 //! reported numbers.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use crate::ids::Pid;
-use crate::time::Timestamp;
+use crate::ledger::{LedgerEntry, SealedEntry};
 
 /// The kind of event recorded in the audit log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,131 +66,76 @@ impl fmt::Display for AuditCategory {
     }
 }
 
-/// One record in the audit log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditEvent {
-    /// Virtual time at which the event occurred.
-    pub at: Timestamp,
-    /// What happened.
-    pub category: AuditCategory,
-    /// The process the event concerns, when one is identifiable.
-    pub pid: Option<Pid>,
-    /// Human-readable detail (resource name, operation, reason).
-    /// `Cow` keeps the mediation hot path allocation-free: common details
-    /// are static strings.
-    pub detail: Cow<'static, str>,
-}
-
-impl fmt::Display for AuditEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.pid {
-            Some(pid) => write!(
-                f,
-                "[{}] {} {}: {}",
-                self.at, self.category, pid, self.detail
-            ),
-            None => write!(f, "[{}] {}: {}", self.at, self.category, self.detail),
-        }
-    }
-}
-
-/// An append-only, queryable event log.
+/// The audit log of one ledger: a borrowed view over its sealed entries
+/// that yields the non-silent ones, in append order.
+///
+/// The view owns nothing and is `Copy`; the iterators it returns borrow
+/// the ledger, not the view, so a view returned by value can be queried
+/// in place.
 ///
 /// ```
-/// use overhaul_sim::{AuditCategory, AuditLog, Pid, Timestamp};
+/// use overhaul_sim::{AuditCategory, Ledger, LedgerEntry, Pid, Timestamp};
 ///
-/// let mut log = AuditLog::new();
-/// log.record(Timestamp::from_millis(10), AuditCategory::PermissionDenied,
-///            Some(Pid::from_raw(7)), "mic open without interaction");
-/// assert_eq!(log.count(AuditCategory::PermissionDenied), 1);
+/// let mut ledger = Ledger::new();
+/// ledger.append(LedgerEntry::event(Timestamp::from_millis(10), AuditCategory::PermissionDenied,
+///            Some(Pid::from_raw(7)), "mic open without interaction"));
+/// assert_eq!(ledger.audit().count(AuditCategory::PermissionDenied), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct AuditLog {
-    events: Vec<AuditEvent>,
+#[derive(Debug, Clone, Copy)]
+pub struct AuditLog<'a> {
+    entries: &'a [SealedEntry],
 }
 
-impl AuditLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        AuditLog::default()
+impl<'a> AuditLog<'a> {
+    /// The view over `entries` (a ledger's retained history).
+    pub(crate) fn new(entries: &'a [SealedEntry]) -> Self {
+        AuditLog { entries }
     }
 
-    /// Appends an event.
-    #[inline]
-    pub fn record(
-        &mut self,
-        at: Timestamp,
-        category: AuditCategory,
-        pid: Option<Pid>,
-        detail: impl Into<Cow<'static, str>>,
-    ) {
-        self.events.push(AuditEvent {
-            at,
-            category,
-            pid,
-            detail: detail.into(),
-        });
-    }
-
-    /// All events, in insertion (and therefore virtual-time) order.
-    pub fn events(&self) -> &[AuditEvent] {
-        &self.events
-    }
-
-    /// Number of events in `category`.
-    pub fn count(&self, category: AuditCategory) -> usize {
-        self.events
+    /// All audit rows, in append (and therefore virtual-time) order.
+    pub fn events(self) -> impl Iterator<Item = &'a LedgerEntry> {
+        self.entries
             .iter()
-            .filter(|e| e.category == category)
+            .map(|sealed| &sealed.entry)
+            .filter(|entry| !entry.silent)
+    }
+
+    /// Number of rows in `category`.
+    pub fn count(self, category: AuditCategory) -> usize {
+        self.in_category(category).count()
+    }
+
+    /// Number of rows in `category` attributed to `pid`.
+    pub fn count_for(self, category: AuditCategory, pid: Pid) -> usize {
+        self.in_category(category)
+            .filter(|e| e.pid == Some(pid))
             .count()
     }
 
-    /// Number of events in `category` attributed to `pid`.
-    pub fn count_for(&self, category: AuditCategory, pid: Pid) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.category == category && e.pid == Some(pid))
-            .count()
+    /// Iterator over rows in `category`.
+    pub fn in_category(self, category: AuditCategory) -> impl Iterator<Item = &'a LedgerEntry> {
+        self.events().filter(move |e| e.category == category)
     }
 
-    /// Iterator over events in `category`.
-    pub fn in_category(&self, category: AuditCategory) -> impl Iterator<Item = &AuditEvent> {
-        self.events.iter().filter(move |e| e.category == category)
+    /// Iterator over rows whose detail contains `needle`.
+    pub fn matching(self, needle: &'a str) -> impl Iterator<Item = &'a LedgerEntry> {
+        self.events().filter(move |e| e.detail.contains(needle))
     }
 
-    /// Iterator over events whose detail contains `needle`.
-    pub fn matching<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a AuditEvent> + 'a {
-        self.events
-            .iter()
-            .filter(move |e| e.detail.contains(needle))
+    /// Total number of rows.
+    pub fn len(self) -> usize {
+        self.events().count()
     }
 
-    /// Total number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Moves all events out of `other` into `self`, preserving order.
-    pub fn absorb(&mut self, other: &mut AuditLog) {
-        self.events.append(&mut other.events);
-    }
-
-    /// Drops all events.
-    pub fn clear(&mut self) {
-        self.events.clear();
+    /// Whether the log has no rows.
+    pub fn is_empty(self) -> bool {
+        self.events().next().is_none()
     }
 }
 
 mod pack {
-    //! Snapshot codecs for the parts of an audit record the ledger
-    //! persists: the category and the detail string. The log itself is
-    //! never packed; the ledger serializes the history and the audit view
-    //! is rebuilt from it.
+    //! Snapshot codecs for the parts of an audit row the ledger persists:
+    //! the category and the detail string.
 
     use std::borrow::Cow;
 
@@ -247,87 +192,98 @@ mod pack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::{ConfigKey, Effect, Ledger};
+    use crate::time::Timestamp;
 
-    fn sample() -> AuditLog {
-        let mut log = AuditLog::new();
-        log.record(
-            Timestamp::from_millis(1),
+    fn row(ms: u64, category: AuditCategory, pid: u32, detail: &'static str) -> LedgerEntry {
+        LedgerEntry::event(
+            Timestamp::from_millis(ms),
+            category,
+            Some(Pid::from_raw(pid)),
+            detail,
+        )
+    }
+
+    /// Three audit rows with a silent entry between the first two.
+    fn sample() -> Ledger {
+        let mut ledger = Ledger::new();
+        ledger.append(row(
+            1,
             AuditCategory::InteractionNotification,
-            Some(Pid::from_raw(10)),
+            10,
             "click on window",
-        );
-        log.record(
-            Timestamp::from_millis(2),
-            AuditCategory::PermissionGranted,
-            Some(Pid::from_raw(10)),
-            "mic",
-        );
-        log.record(
-            Timestamp::from_millis(3),
-            AuditCategory::PermissionDenied,
-            Some(Pid::from_raw(11)),
-            "cam",
-        );
-        log
+        ));
+        ledger.append(LedgerEntry::silent(
+            Timestamp::from_millis(1),
+            Effect::Config {
+                key: ConfigKey::GrantAll,
+                value: 0,
+            },
+        ));
+        ledger.append(row(2, AuditCategory::PermissionGranted, 10, "mic"));
+        ledger.append(row(3, AuditCategory::PermissionDenied, 11, "cam"));
+        ledger
     }
 
     #[test]
     fn record_and_count() {
-        let log = sample();
-        assert_eq!(log.len(), 3);
+        let ledger = sample();
+        let log = ledger.audit();
+        assert_eq!(log.len(), 3, "the silent entry is not an audit row");
         assert_eq!(log.count(AuditCategory::PermissionGranted), 1);
         assert_eq!(log.count(AuditCategory::AlertDisplayed), 0);
+        assert_eq!(log.count(AuditCategory::Info), 0);
     }
 
     #[test]
     fn count_for_filters_by_pid() {
-        let log = sample();
+        let ledger = sample();
         assert_eq!(
-            log.count_for(AuditCategory::PermissionDenied, Pid::from_raw(11)),
+            ledger
+                .audit()
+                .count_for(AuditCategory::PermissionDenied, Pid::from_raw(11)),
             1
         );
         assert_eq!(
-            log.count_for(AuditCategory::PermissionDenied, Pid::from_raw(10)),
+            ledger
+                .audit()
+                .count_for(AuditCategory::PermissionDenied, Pid::from_raw(10)),
             0
         );
     }
 
     #[test]
     fn matching_searches_detail() {
-        let log = sample();
-        assert_eq!(log.matching("mic").count(), 1);
-        assert_eq!(log.matching("nothing").count(), 0);
+        let ledger = sample();
+        assert_eq!(ledger.audit().matching("mic").count(), 1);
+        assert_eq!(ledger.audit().matching("nothing").count(), 0);
     }
 
     #[test]
     fn events_preserve_order() {
-        let log = sample();
-        let times: Vec<u64> = log.events().iter().map(|e| e.at.as_millis()).collect();
+        let ledger = sample();
+        let times: Vec<u64> = ledger.audit().events().map(|e| e.at.as_millis()).collect();
         assert_eq!(times, vec![1, 2, 3]);
     }
 
     #[test]
-    fn absorb_moves_events() {
-        let mut a = sample();
-        let mut b = AuditLog::new();
-        b.record(Timestamp::from_millis(4), AuditCategory::Info, None, "x");
-        a.absorb(&mut b);
-        assert_eq!(a.len(), 4);
-        assert!(b.is_empty());
-    }
-
-    #[test]
     fn display_includes_pid_when_present() {
-        let log = sample();
-        let rendered = log.events()[0].to_string();
-        assert!(rendered.contains("pid:10"));
-        assert!(rendered.contains("interaction-notification"));
+        let ledger = sample();
+        let first = ledger.audit().events().next().expect("a row");
+        assert_eq!(
+            first.to_string(),
+            "[t+1ms] interaction-notification pid:10: click on window"
+        );
+        let anonymous =
+            LedgerEntry::event(Timestamp::from_millis(4), AuditCategory::Info, None, "x");
+        assert_eq!(anonymous.to_string(), "[t+4ms] info: x");
     }
 
     #[test]
     fn clear_empties_log() {
-        let mut log = sample();
-        log.clear();
-        assert!(log.is_empty());
+        let mut ledger = sample();
+        ledger.clear();
+        assert!(ledger.audit().is_empty());
+        assert_eq!(ledger.audit().len(), 0);
     }
 }

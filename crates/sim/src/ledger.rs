@@ -18,10 +18,10 @@
 //!   single flipped bit anywhere in the retained history changes some
 //!   entry's encoding, so its recomputed seal (or a successor's) stops
 //!   matching the stored one.
-//! * The legacy [`AuditLog`] survives as a **rendered projection**,
-//!   materialized at append time (entries marked `silent` carry structured
-//!   effects only and do not project), so every existing log-inspecting
-//!   test and the procfs STATS page read exactly what they always read.
+//! * The audit log is a **view**, not a second store: [`Ledger::audit`]
+//!   borrows the retained entries and yields the non-silent ones
+//!   (entries marked `silent` carry structured effects only), so the
+//!   log-inspecting harnesses read the one history directly.
 //! * Control-plane state is a **deterministic reduction** of the ledger:
 //!   [`Ledger::reduce`] folds the effects into a [`ControlPlane`] whose
 //!   [`ControlPlane::state_hash`] must equal the live system's — from
@@ -212,32 +212,31 @@ impl Effect {
 
 /// One typed history entry, before sealing.
 ///
-/// `category`/`pid`/`detail` are exactly what the legacy audit row
-/// carried; `effect` is the structured payload the reduction folds; a
-/// `silent` entry is ledger-only (no audit projection) — used for
-/// control-plane mutations that were historically unaudited, so the
-/// rendered log stays byte-identical to what tests expect.
+/// `category`/`pid`/`detail` are the audit row; `effect` is the
+/// structured payload the reduction folds; a `silent` entry is not an
+/// audit row — used for control-plane mutations that were historically
+/// unaudited, so the rendered log stays byte-identical to what tests
+/// expect.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// Virtual time of the event.
     pub at: Timestamp,
     /// The process the entry concerns, if any.
     pub pid: Option<Pid>,
-    /// Legacy audit category (also the projection's category).
+    /// Audit category.
     pub category: AuditCategory,
     /// Rendered detail. Hot-path appends use `Cow::Borrowed` statics so
-    /// sealing and projection are allocation-free.
+    /// sealing is allocation-free.
     pub detail: Cow<'static, str>,
     /// Structured payload, if the entry mutates control-plane state or
     /// records a verdict.
     pub effect: Option<Effect>,
-    /// Whether the entry is excluded from the audit projection.
+    /// Whether the entry is left out of the audit log.
     pub silent: bool,
 }
 
 impl LedgerEntry {
-    /// A projected (non-silent) entry with no structured effect — the
-    /// shape of a legacy audit row.
+    /// An audit row (a non-silent entry) with no structured effect.
     #[inline]
     pub fn event(
         at: Timestamp,
@@ -262,7 +261,7 @@ impl LedgerEntry {
         self
     }
 
-    /// A silent entry: structured effect only, no audit projection.
+    /// A silent entry: structured effect only, no audit row.
     pub fn silent(at: Timestamp, effect: Effect) -> Self {
         LedgerEntry {
             at,
@@ -271,6 +270,21 @@ impl LedgerEntry {
             detail: Cow::Borrowed(""),
             effect: Some(effect),
             silent: true,
+        }
+    }
+}
+
+/// Renders the entry as an audit row: `[t] category pid: detail`, with
+/// the pid omitted when the entry names none.
+impl fmt::Display for LedgerEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.pid {
+            Some(pid) => write!(
+                f,
+                "[{}] {} {}: {}",
+                self.at, self.category, pid, self.detail
+            ),
+            None => write!(f, "[{}] {}: {}", self.at, self.category, self.detail),
         }
     }
 }
@@ -345,8 +359,7 @@ fn seal(scratch: &mut Enc, prev: u64, seq: u64, entry: &LedgerEntry) -> u64 {
     fnv1a64(scratch.bytes())
 }
 
-/// The append-only hash-chained history, plus its materialized audit
-/// projection.
+/// The append-only hash-chained history.
 ///
 /// Serialization keeps `seq`/`chain` verbatim (they are *evidence*, not
 /// derivable hints), so corruption introduced between a seal and a later
@@ -361,9 +374,6 @@ pub struct Ledger {
     /// ([`GENESIS_HEAD`] for a never-cleared ledger).
     base_head: u64,
     entries: Vec<SealedEntry>,
-    /// The legacy audit view, materialized at append time from non-silent
-    /// entries.
-    projection: AuditLog,
     /// Reusable seal staging buffer (never serialized or compared; purely
     /// an allocation-avoidance cache for the append hot path).
     scratch: Enc,
@@ -372,26 +382,16 @@ pub struct Ledger {
 impl Ledger {
     /// An empty ledger at the genesis head.
     pub fn new() -> Self {
-        Ledger {
-            base_seq: 0,
-            base_head: GENESIS_HEAD,
-            entries: Vec::new(),
-            projection: AuditLog::new(),
-            scratch: Enc::new(),
-        }
+        Ledger::from_parts(0, GENESIS_HEAD, Vec::new())
     }
 
-    /// Appends an entry, sealing it onto the chain and (unless silent)
-    /// projecting it into the audit view. Returns the new chain head.
+    /// Appends an entry, sealing it onto the chain. Returns the new chain
+    /// head.
     #[inline]
     pub fn append(&mut self, entry: LedgerEntry) -> u64 {
         let seq = self.next_seq();
         let prev = self.head();
         let chain = seal(&mut self.scratch, prev, seq, &entry);
-        if !entry.silent {
-            self.projection
-                .record(entry.at, entry.category, entry.pid, entry.detail.clone());
-        }
         self.entries.push(SealedEntry { seq, chain, entry });
         chain
     }
@@ -405,26 +405,13 @@ impl Ledger {
 
     /// Reassembles a ledger from untrusted parts — e.g. a history shipped
     /// by another machine, or a tampering corpus under test. Seals and
-    /// sequence numbers are taken verbatim and the audit projection is
-    /// rebuilt from the non-silent entries; run [`Ledger::verify_chain`]
+    /// sequence numbers are taken verbatim; run [`Ledger::verify_chain`]
     /// before trusting the result.
     pub fn from_parts(base_seq: u64, base_head: u64, entries: Vec<SealedEntry>) -> Ledger {
-        let mut projection = AuditLog::new();
-        for sealed in &entries {
-            if !sealed.entry.silent {
-                projection.record(
-                    sealed.entry.at,
-                    sealed.entry.category,
-                    sealed.entry.pid,
-                    sealed.entry.detail.clone(),
-                );
-            }
-        }
         Ledger {
             base_seq,
             base_head,
             entries,
-            projection,
             scratch: Enc::new(),
         }
     }
@@ -451,19 +438,19 @@ impl Ledger {
         &self.entries
     }
 
-    /// The legacy audit view of the retained history.
-    pub fn audit(&self) -> &AuditLog {
-        &self.projection
+    /// The audit log of the retained history: a view of its non-silent
+    /// entries.
+    pub fn audit(&self) -> AuditLog<'_> {
+        AuditLog::new(&self.entries)
     }
 
-    /// Discards retained entries and the projection, keeping the chain
-    /// head and sequence numbering monotone (measurement harnesses call
-    /// this so unbounded history growth cannot distort long loops).
+    /// Discards retained entries, keeping the chain head and sequence
+    /// numbering monotone (measurement harnesses call this so unbounded
+    /// history growth cannot distort long loops).
     pub fn clear(&mut self) {
         self.base_seq = self.next_seq();
         self.base_head = self.head();
         self.entries.clear();
-        self.projection.clear();
     }
 
     /// Re-derives the chain over the retained entries and checks every
@@ -939,10 +926,10 @@ mod pack {
 
     impl_pack!(SealedEntry { seq, chain, entry });
 
-    // Hand-written (not `impl_pack!`): the audit projection is *derived*
-    // — rebuilt from the entries on decode — so every serialized byte
-    // past the container framing is covered by the chain, and a decoded
-    // ledger cannot carry a projection its sealed history disagrees with.
+    // Hand-written (not `impl_pack!`): `scratch` is an append-time staging
+    // buffer, not history, so only the chain anchors and the sealed
+    // entries are serialized and every byte past the container framing is
+    // covered by the chain.
     impl Pack for Ledger {
         fn pack(&self, enc: &mut Enc) {
             self.base_seq.pack(enc);
@@ -1041,7 +1028,7 @@ mod tests {
         assert_eq!(
             ledger.audit().len(),
             3,
-            "silent config entry must not project"
+            "the silent config entry is not an audit row"
         );
         assert_eq!(ledger.audit().matching("op=mic granted").count(), 1);
     }
@@ -1095,7 +1082,6 @@ mod tests {
         assert_eq!(decoded.head(), ledger.head());
         assert_eq!(decoded.next_seq(), ledger.next_seq());
         assert_eq!(decoded.entries(), ledger.entries());
-        assert_eq!(decoded.audit().events(), ledger.audit().events());
         assert!(decoded.verify_chain().is_ok());
     }
 

@@ -13,9 +13,9 @@
 //!   by the kernel and display-manager simulators.
 //! * [`rng`] — a seedable deterministic random source used by workload
 //!   generators.
-//! * [`audit`] — a structured audit log; the permission monitor, the display
-//!   manager, and the experiment harnesses all append here, and the
-//!   evaluation binaries read their results back out of it.
+//! * [`audit`] — the audit vocabulary ([`AuditCategory`]) and [`AuditLog`],
+//!   the view of a ledger's audit rows that the evaluation binaries read
+//!   their results back out of.
 //! * [`trace`] — deterministic virtual-time span tracing ([`Tracer`]) and a
 //!   [`MetricsRegistry`] of counters/gauges/histograms; every mediation path
 //!   (decisions, channel exchanges, page faults, IPC propagation hops,
@@ -26,9 +26,9 @@
 //!   hash behind `System::snapshot` / `System::restore` and record/replay.
 //! * [`ledger`] — the append-only, hash-chained authoritative history
 //!   ([`Ledger`]): typed entries with structured [`Effect`]s, a sealed
-//!   running chain hash ([`Ledger::verify_chain`]), the legacy
-//!   [`AuditLog`] maintained as a rendered projection, and control-plane
-//!   state as a deterministic reduction ([`ControlPlane`]).
+//!   running chain hash ([`Ledger::verify_chain`]), the audit log as a
+//!   view of it ([`Ledger::audit`]), and control-plane state as a
+//!   deterministic reduction ([`ControlPlane`]).
 //! * [`work`] — the calibrated cost model: real-world costs of the
 //!   operations the simulator executes in nanoseconds, charged to a
 //!   per-machine [`ModelledCost`] instead of being waited out.
@@ -62,7 +62,7 @@ pub mod work;
 
 pub use arena::{Interner, Slab, SlotId, Sym};
 pub use artifact::BenchArtifact;
-pub use audit::{AuditCategory, AuditEvent, AuditLog};
+pub use audit::{AuditCategory, AuditLog};
 pub use fault::{ChannelFault, FaultPlan, FaultSpec, FaultStats};
 pub use ids::{Fd, Pid, Uid};
 pub use ledger::{

@@ -126,8 +126,8 @@ pub struct XServer {
     alerts: AlertManager,
     prompts: PromptSurface,
     focus: Option<WindowId>,
-    /// Hash-chained authoritative history; the legacy audit log is a
-    /// rendered projection of its non-silent entries.
+    /// Hash-chained authoritative history; the audit log is a view of its
+    /// non-silent entries.
     ledger: Ledger,
     /// Virtual-time span tracer. Disabled (no-op) unless the system harness
     /// installs a shared enabled handle, in which case the display manager
@@ -192,14 +192,14 @@ impl XServer {
         self.config.visibility_threshold = threshold;
     }
 
-    /// The display manager's audit log — a rendered projection of the
-    /// hash-chained ledger.
-    pub fn audit(&self) -> &AuditLog {
+    /// The display manager's audit log: a view of the hash-chained
+    /// ledger's non-silent entries.
+    pub fn audit(&self) -> AuditLog<'_> {
         self.ledger.audit()
     }
 
     /// The display manager's hash-chained ledger (the authoritative
-    /// history the audit log is projected from).
+    /// history the audit log reads).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -211,8 +211,7 @@ impl XServer {
         self.ledger.clear();
     }
 
-    /// Appends an informational event to the ledger (and thereby the
-    /// projected audit log).
+    /// Appends an informational audit row to the ledger.
     fn record(
         &mut self,
         at: Timestamp,

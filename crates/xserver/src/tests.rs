@@ -663,7 +663,6 @@ fn paste_after_owner_disconnect_fails_closed() {
         rig.x
             .audit()
             .events()
-            .iter()
             .any(|e| e.detail.contains("stale owner")),
         "deny is audited with its cause"
     );

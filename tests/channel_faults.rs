@@ -301,7 +301,7 @@ proptest! {
         // Every grant follows an interaction notification for the same
         // pid within δ.
         let delta = SimDuration::from_secs(2);
-        let events = system.kernel_audit().events();
+        let events: Vec<_> = system.kernel_audit().events().collect();
         for (i, e) in events.iter().enumerate() {
             if e.category == AuditCategory::PermissionGranted {
                 let justified = events[..i].iter().any(|p| {
