@@ -565,8 +565,6 @@ impl Kernel {
         let now = self.clock.now();
         let rearms = self.mm.tick(now);
         if rearms > 0 {
-            self.metrics
-                .add_counter("overhaul_mm_rearm_events_total", rearms as u64);
             self.tracer.event(
                 "mm.rearm",
                 now,
@@ -1604,6 +1602,9 @@ impl Kernel {
         reg.set_counter("overhaul_mm_faults_total", m.faults);
         reg.set_counter("overhaul_mm_direct_total", m.direct);
         reg.set_counter("overhaul_mm_rearms_total", m.rearms);
+        if m.rearms > 0 {
+            reg.set_counter("overhaul_mm_rearm_events_total", m.rearms);
+        }
         let c = self.verdict_cache.stats();
         reg.set_counter("overhaul_verdict_cache_hits_total", c.hits);
         reg.set_counter("overhaul_verdict_cache_misses_total", c.misses);

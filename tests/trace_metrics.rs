@@ -337,5 +337,10 @@ proptest! {
         let at = system.kernel().mm_stats();
         prop_assert_eq!(at.faults, base.faults + 1, "re-fault at exactly the deadline");
         prop_assert_eq!(at.rearms, base.rearms + 1);
+        prop_assert_eq!(
+            metric(&system.metrics(), "overhaul_mm_rearm_events_total"),
+            at.rearms,
+            "a lazy re-arm is a re-arm event"
+        );
     }
 }
