@@ -1,9 +1,11 @@
 //! The kernel permission monitor (§III-B, §IV-B).
 //!
 //! The monitor stores interaction notifications from the display manager in
-//! each task's `task_struct` and answers permission queries by *temporal
-//! proximity*: a privileged operation at time `t+n` is correlated with the
-//! latest authentic input at time `t`, and granted iff `n < δ`. The paper
+//! each task's `task_struct`, and permission queries are answered by
+//! *temporal proximity*: a privileged operation at time `t+n` is correlated
+//! with the latest authentic input at time `t`, and granted iff `n < δ`
+//! (evaluated by [`crate::policy::PolicyEngine`] on the kernel's decide
+//! path, which counts every verdict here). The paper
 //! empirically sets δ = 2 s ("less than 1 second could lead to falsely
 //! revoked permissions, but 2 seconds is sufficient").
 //!
@@ -17,8 +19,6 @@ use std::fmt;
 use overhaul_sim::{Pid, SimDuration, Timestamp};
 
 use crate::error::SysResult;
-use crate::netlink::ChannelState;
-use crate::policy::{PolicyEngine, PolicySnapshot, TaskPolicyView};
 use crate::process::ProcessTable;
 
 /// A privileged operation class, the paper's
@@ -175,7 +175,9 @@ pub struct MonitorStats {
     pub alerts_queued: u64,
 }
 
-/// The kernel permission monitor.
+/// The kernel permission monitor: it records interaction notifications
+/// in the task structure, keeps the decision and channel counters, and
+/// queues visual alerts.
 ///
 /// ```
 /// use overhaul_kernel::monitor::{MonitorConfig, PermissionMonitor};
@@ -187,15 +189,13 @@ pub struct MonitorStats {
 /// let app = tasks.fork(Pid::INIT)?;
 /// let mut monitor = PermissionMonitor::new(MonitorConfig::default());
 ///
-/// monitor.record_interaction(&mut tasks, app, Timestamp::from_millis(1_000))?;
-/// // 500 ms later: within δ = 2 s, granted.
-/// assert!(monitor.check(&tasks, app, Timestamp::from_millis(1_500))?.verdict.is_grant());
-/// // 5 s later: expired, denied.
-/// assert!(!monitor.check(&tasks, app, Timestamp::from_millis(6_000))?.verdict.is_grant());
+/// let at = Timestamp::from_millis(1_000);
+/// assert!(monitor.record_interaction(&mut tasks, app, at)?);
+/// assert_eq!(tasks.get(app)?.interaction(), Some(at));
+/// assert_eq!(monitor.stats().notifications, 1);
 /// # Ok(())
 /// # }
 /// ```
-/// The kernel permission monitor.
 #[derive(Debug, Clone, Default)]
 pub struct PermissionMonitor {
     config: MonitorConfig,
@@ -247,43 +247,7 @@ impl PermissionMonitor {
         Ok(task.observe_interaction(at))
     }
 
-    /// Answers a permission query `Q_{A,t+n}`: compares the task's stored
-    /// interaction time `t` with the operation time `op_at = t+n` and grants
-    /// iff `n < δ`.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::error::Errno::Esrch`] if `pid` does not exist.
-    pub fn check(
-        &mut self,
-        tasks: &ProcessTable,
-        pid: Pid,
-        op_at: Timestamp,
-    ) -> SysResult<Decision> {
-        let task = tasks.get(pid)?;
-        // The monitor answers pure temporal-proximity queries: channel state
-        // and device quarantine are the kernel's concern (handled before the
-        // query ever reaches the monitor), so the snapshot is benign there.
-        let snapshot = PolicySnapshot {
-            delta: self.config.delta,
-            grant_all: self.config.grant_all,
-            channel_required: false,
-            channel_state: ChannelState::Up,
-            quarantined: false,
-            task: Some(TaskPolicyView {
-                frozen: task.permissions_frozen(),
-                interaction: task.raw_interaction(),
-                chain: task.credit_chain(),
-            }),
-        };
-        let outcome = PolicyEngine::evaluate_at(&snapshot, op_at);
-        self.note_verdict(outcome.decision.verdict.is_grant());
-        Ok(outcome.decision)
-    }
-
-    /// Counts a verdict computed outside the monitor (the kernel's unified
-    /// decision path) so `grants`/`denies` stay authoritative regardless of
-    /// which layer evaluated the policy.
+    /// Counts a verdict of the kernel's decision path.
     pub(crate) fn note_verdict(&mut self, granted: bool) {
         if granted {
             self.stats.grants += 1;
@@ -455,7 +419,6 @@ mod pack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Errno;
 
     fn setup() -> (PermissionMonitor, ProcessTable, Pid) {
         let mut tasks = ProcessTable::new();
@@ -464,117 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn grant_within_delta() {
-        let (mut monitor, mut tasks, pid) = setup();
-        monitor
-            .record_interaction(&mut tasks, pid, Timestamp::from_millis(1000))
-            .unwrap();
-        let d = monitor
-            .check(&tasks, pid, Timestamp::from_millis(2500))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Grant);
-        assert_eq!(
-            d.reason,
-            DecisionReason::WithinThreshold {
-                elapsed: SimDuration::from_millis(1500)
-            }
-        );
-    }
-
-    #[test]
-    fn deny_at_exactly_delta() {
-        // Paper: grant iff n < δ, so n == δ is a deny.
-        let (mut monitor, mut tasks, pid) = setup();
-        monitor
-            .record_interaction(&mut tasks, pid, Timestamp::from_millis(0))
-            .unwrap();
-        let d = monitor
-            .check(&tasks, pid, Timestamp::from_millis(2000))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Deny);
-    }
-
-    #[test]
-    fn deny_without_interaction() {
-        let (mut monitor, tasks, pid) = setup();
-        let d = monitor
-            .check(&tasks, pid, Timestamp::from_millis(10))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(d.reason, DecisionReason::NoInteraction);
-    }
-
-    #[test]
-    fn deny_after_expiry() {
-        let (mut monitor, mut tasks, pid) = setup();
-        monitor
-            .record_interaction(&mut tasks, pid, Timestamp::from_millis(0))
-            .unwrap();
-        let d = monitor
-            .check(&tasks, pid, Timestamp::from_millis(5000))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(
-            d.reason,
-            DecisionReason::Expired {
-                elapsed: SimDuration::from_secs(5)
-            }
-        );
-    }
-
-    #[test]
-    fn grant_all_mode_grants_but_still_counts() {
-        let (mut monitor, tasks, pid) = setup();
-        monitor.set_config(MonitorConfig {
-            grant_all: true,
-            ..MonitorConfig::default()
-        });
-        let d = monitor
-            .check(&tasks, pid, Timestamp::from_millis(10))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Grant);
-        assert_eq!(d.reason, DecisionReason::GrantAll);
-        assert_eq!(monitor.stats().grants, 1);
-    }
-
-    #[test]
-    fn frozen_task_denied_even_in_grant_all() {
-        let (mut monitor, mut tasks, pid) = setup();
-        monitor.set_config(MonitorConfig {
-            grant_all: true,
-            ..MonitorConfig::default()
-        });
-        tasks.get_mut(pid).unwrap().set_permissions_frozen(true);
-        let d = monitor
-            .check(&tasks, pid, Timestamp::from_millis(10))
-            .unwrap();
-        assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(d.reason, DecisionReason::PermissionsFrozen);
-    }
-
-    #[test]
-    fn unknown_pid_is_esrch() {
-        let (mut monitor, tasks, _) = setup();
-        assert_eq!(
-            monitor
-                .check(&tasks, Pid::from_raw(999), Timestamp::ZERO)
-                .err(),
-            Some(Errno::Esrch)
-        );
-    }
-
-    #[test]
     fn stats_track_grants_and_denies() {
         let (mut monitor, mut tasks, pid) = setup();
         monitor
             .record_interaction(&mut tasks, pid, Timestamp::from_millis(100))
             .unwrap();
-        monitor
-            .check(&tasks, pid, Timestamp::from_millis(200))
-            .unwrap();
-        monitor
-            .check(&tasks, pid, Timestamp::from_millis(9000))
-            .unwrap();
+        monitor.note_verdict(true);
+        monitor.note_verdict(false);
         let stats = monitor.stats();
         assert_eq!(stats.notifications, 1);
         assert_eq!(stats.grants, 1);

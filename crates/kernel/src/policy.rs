@@ -1157,6 +1157,12 @@ mod tests {
         assert_eq!(out.trace, DecisionTrace::UnknownProcess);
         assert_eq!(out.decision.reason, DecisionReason::NoInteraction);
         assert_eq!(out.decision.verdict, Verdict::Deny);
+
+        // A live task that never interacted is denied for the same reason.
+        let out = PolicyEngine::evaluate_at(&snapshot(Some(live_task(None))), at(10));
+        assert_eq!(out.trace, DecisionTrace::NoInteraction);
+        assert_eq!(out.decision.reason, DecisionReason::NoInteraction);
+        assert_eq!(out.decision.verdict, Verdict::Deny);
     }
 
     #[test]
