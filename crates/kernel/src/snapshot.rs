@@ -9,8 +9,7 @@
 //!   alerts, the channel registry (sequence numbers and suppression
 //!   watermarks), every IPC table, the shm wait list, the hash-chained
 //!   ledger (the audit log is a view of it), and the in-flight
-//!   push/reorder buffers. Serialized field by field in
-//!   a fixed order.
+//!   push/reorder buffers. Serialized field by field in a fixed order.
 //! * **Derived state** — the epoch-keyed [`crate::policy::VerdictCache`]
 //!   (which also holds the per-task `explain_last` cells) and the
 //!   per-connection duplicate-suppression sets. Never serialized; [`Kernel::import_snapshot`] rebuilds them

@@ -77,8 +77,12 @@ impl fmt::Display for AuditCategory {
 /// use overhaul_sim::{AuditCategory, Ledger, LedgerEntry, Pid, Timestamp};
 ///
 /// let mut ledger = Ledger::new();
-/// ledger.append(LedgerEntry::event(Timestamp::from_millis(10), AuditCategory::PermissionDenied,
-///            Some(Pid::from_raw(7)), "mic open without interaction"));
+/// ledger.append(LedgerEntry::event(
+///     Timestamp::from_millis(10),
+///     AuditCategory::PermissionDenied,
+///     Some(Pid::from_raw(7)),
+///     "mic open without interaction",
+/// ));
 /// assert_eq!(ledger.audit().count(AuditCategory::PermissionDenied), 1);
 /// ```
 #[derive(Debug, Clone, Copy)]
