@@ -427,6 +427,19 @@ mod tests {
     }
 
     #[test]
+    fn deny_without_interaction() {
+        // A live task the monitor never saw an interaction for is denied on
+        // the kernel's decide path, and the deny is counted here.
+        let mut kernel = crate::Kernel::new(overhaul_sim::Clock::new(), Default::default());
+        let pid = kernel.sys_fork(Pid::INIT).unwrap();
+        let d = kernel.decide_direct(pid, Timestamp::from_millis(10), ResourceOp::Mic);
+        assert_eq!(d.verdict, Verdict::Deny);
+        assert_eq!(d.reason, DecisionReason::NoInteraction);
+        let stats = kernel.monitor_stats();
+        assert_eq!((stats.grants, stats.denies), (0, 1));
+    }
+
+    #[test]
     fn stats_track_grants_and_denies() {
         let (mut monitor, mut tasks, pid) = setup();
         monitor
