@@ -48,7 +48,7 @@ impl fmt::Display for TimelineEntry<'_> {
         if let Some(pid) = e.pid {
             write!(f, " {pid}")?;
         }
-        write!(f, ": {}", e.detail)
+        write!(f, ": {}", e.detail())
     }
 }
 

@@ -18,9 +18,9 @@
 //! append-only [`Interner`] and the live mapping is a dense
 //! `Vec<Option<DeviceId>>` indexed by [`Sym`]. Mediation-time lookups cost
 //! one string hash plus an array index, and re-announced paths (the
-//! helper replays events) never re-allocate. The snapshot encoding is
-//! unchanged from the `BTreeMap<String, DeviceId>` layout it replaces, so
-//! state hashes and ledger heads are unaffected.
+//! helper replays events) never re-allocate. The snapshot encodes the
+//! live mapping as path-sorted `(path, device)` pairs, which store each
+//! path once.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -224,10 +224,11 @@ impl DeviceMap {
 
 mod pack {
     //! Snapshot codec for the device map (including quarantine state and
-    //! the policy-epoch generation counter). Encodes the sorted-pair
-    //! `BTreeMap` layout the pre-interning map used, byte for byte, so
-    //! `state_hash` and every committed snapshot stay valid; the interner
-    //! and dense table are rebuilt on decode.
+    //! the policy-epoch generation counter). Encodes the live mapping as
+    //! a `BTreeMap<String, DeviceId>` would: a count, then path-sorted
+    //! `(path, device)` pairs. No key is stored twice, so this layout
+    //! needs no dense form; the interner and dense table are rebuilt on
+    //! decode.
 
     use std::collections::{BTreeMap, BTreeSet};
 

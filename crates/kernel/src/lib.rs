@@ -63,9 +63,9 @@ use std::collections::VecDeque;
 
 use overhaul_sim::work::{self, ModelledCost};
 use overhaul_sim::{
-    AuditCategory, AuditLog, ChannelFault, ChannelTag, Clock, ConfigKey, ControlPlane, Effect,
-    FaultPlan, Ledger, LedgerEntry, Mechanism, MetricsRegistry, Pid, RuleKind, SimDuration,
-    Sketches, SpanId, Timestamp, TraceValue, Tracer, Uid,
+    AuditCategory, AuditLog, ChannelFault, Clock, ConfigKey, ControlPlane, Effect, FaultPlan,
+    Ledger, LedgerEntry, Mechanism, MetricsRegistry, Pid, RuleKind, SimDuration, Sketches, SpanId,
+    Timestamp, TraceValue, Tracer, Uid,
 };
 
 use crate::devfs::DeviceMap;
@@ -399,7 +399,7 @@ impl Kernel {
             channel_required: self.channel_required,
             delta_ms: self.config.monitor.delta.as_millis(),
             grant_all: self.config.monitor.grant_all,
-            channel: channel_tag(self.netlink.state()),
+            channel: self.netlink.state(),
             devices_by_path: self
                 .device_map
                 .iter()
@@ -771,7 +771,9 @@ impl Kernel {
                         Some(pid),
                         channel_transition_detail(state_before, ChannelState::Up),
                     )
-                    .with_effect(Effect::Channel { to: ChannelTag::Up }),
+                    .with_effect(Effect::Channel {
+                        to: ChannelState::Up,
+                    }),
                 );
             }
         }
@@ -1187,9 +1189,7 @@ impl Kernel {
                     None,
                     channel_transition_detail(from, to),
                 )
-                .with_effect(Effect::Channel {
-                    to: channel_tag(to),
-                }),
+                .with_effect(Effect::Channel { to }),
             );
         }
     }
@@ -1385,10 +1385,10 @@ impl Kernel {
     }
 
     /// Applies a decision's side effects — monitor counters and the audit
-    /// record — identically for cache hits and misses. The audit detail
-    /// renders from the [`DecisionTrace`], so every surface (audit log,
-    /// procfs STATS, overlay alerts) derives from the same trace. Returns
-    /// the ledger sequence number the decision sealed; on sampled
+    /// record — identically for cache hits and misses. The verdict entry
+    /// stores only its `Copy`-sized effect and renders its audit row from
+    /// it, so the mediation hot path seals no text. Returns the ledger
+    /// sequence number the decision sealed; on sampled
     /// decisions the append is also wall-timed into the
     /// [`Mechanism::LedgerAppend`] sketch.
     fn apply_decision_effects(
@@ -1399,49 +1399,16 @@ impl Kernel {
         outcome: &DecisionOutcome,
         sampled: bool,
     ) -> u64 {
-        let verdict = Effect::Verdict {
-            granted: outcome.decision.verdict.is_grant(),
-            op: op_tag(op),
-            rule: rule_kind(&outcome.trace),
-        };
-        let entry = match outcome.trace {
-            DecisionTrace::ChannelDown | DecisionTrace::Quarantined => {
-                self.monitor.note_fail_closed();
-                LedgerEntry::event(
-                    at,
-                    AuditCategory::PermissionDenied,
-                    Some(pid),
-                    outcome.trace.audit_detail(op),
-                )
-                .with_effect(verdict)
-            }
-            DecisionTrace::UnknownProcess => {
-                // A query about a dead process is answered (deny) but not
-                // counted: the monitor never saw a checkable task.
-                LedgerEntry::event(
-                    at,
-                    AuditCategory::PermissionDenied,
-                    Some(pid),
-                    outcome.trace.audit_detail(op),
-                )
-                .with_effect(verdict)
-            }
-            _ => {
-                let granted = outcome.decision.verdict.is_grant();
-                self.monitor.note_verdict(granted);
-                let category = if granted {
-                    AuditCategory::PermissionGranted
-                } else {
-                    AuditCategory::PermissionDenied
-                };
-                // Static detail strings and a `Copy`-sized verdict effect
-                // keep the mediation hot path allocation-free apart from
-                // chain sealing (this is the code the Table I device
-                // benchmark times).
-                LedgerEntry::event(at, category, Some(pid), outcome.trace.audit_detail(op))
-                    .with_effect(verdict)
-            }
-        };
+        let granted = outcome.decision.verdict.is_grant();
+        let rule = outcome.trace.rule();
+        match rule {
+            RuleKind::ChannelDown | RuleKind::Quarantined => self.monitor.note_fail_closed(),
+            // A query about a dead process is answered (deny) but not
+            // counted: the monitor never saw a checkable task.
+            RuleKind::UnknownProcess => {}
+            _ => self.monitor.note_verdict(granted),
+        }
+        let entry = LedgerEntry::verdict(at, pid, granted, op.tag(), rule);
         // Ledger-append cost is only timed on the decisions the sketch
         // samples anyway; unsampled decisions append untimed.
         let seq = self.ledger.next_seq();
@@ -1519,7 +1486,7 @@ impl Kernel {
             op,
             granted: outcome.decision.verdict.is_grant(),
             at,
-            reason: outcome.trace.deny_cause().map(str::to_string),
+            reason: outcome.trace.rule().deny_cause().map(str::to_string),
         });
     }
 
@@ -1712,41 +1679,6 @@ fn netlink_msg_kind(msg: &NetlinkMessage) -> &'static str {
         NetlinkMessage::InteractionNotification { .. } => "notify",
         NetlinkMessage::PermissionQuery { .. } => "query",
         NetlinkMessage::DeviceMapUpdate { .. } => "devmap",
-    }
-}
-
-/// The ledger's mirror of a [`ChannelState`].
-fn channel_tag(state: ChannelState) -> ChannelTag {
-    match state {
-        ChannelState::Up => ChannelTag::Up,
-        ChannelState::Degraded => ChannelTag::Degraded,
-        ChannelState::Down => ChannelTag::Down,
-    }
-}
-
-/// The ledger's structured mirror of the rule a decision trace fired.
-fn rule_kind(trace: &DecisionTrace) -> RuleKind {
-    match trace {
-        DecisionTrace::WithinThreshold { .. } => RuleKind::WithinThreshold,
-        DecisionTrace::GrantAll { .. } => RuleKind::GrantAll,
-        DecisionTrace::NoInteraction => RuleKind::NoInteraction,
-        DecisionTrace::Stale { .. } => RuleKind::Stale,
-        DecisionTrace::PermissionsFrozen => RuleKind::PermissionsFrozen,
-        DecisionTrace::ChannelDown => RuleKind::ChannelDown,
-        DecisionTrace::Quarantined => RuleKind::Quarantined,
-        DecisionTrace::UnknownProcess => RuleKind::UnknownProcess,
-    }
-}
-
-/// Stable ledger tag for a resource op (the `Effect::Verdict` `op` field).
-fn op_tag(op: ResourceOp) -> u8 {
-    match op {
-        ResourceOp::Mic => 0,
-        ResourceOp::Cam => 1,
-        ResourceOp::Sensor => 2,
-        ResourceOp::Screen => 3,
-        ResourceOp::Copy => 4,
-        ResourceOp::Paste => 5,
     }
 }
 

@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use overhaul_sim::{Pid, SimDuration, Timestamp};
+use overhaul_sim::{Pid, SimDuration, Timestamp, OP_NAMES};
 
 use crate::error::SysResult;
 use crate::process::ProcessTable;
@@ -26,31 +26,41 @@ use crate::process::ProcessTable;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceOp {
     /// Microphone access.
-    Mic,
+    Mic = 0,
     /// Camera access.
-    Cam,
+    Cam = 1,
     /// Other sensor access.
-    Sensor,
+    Sensor = 2,
     /// Screen-contents capture.
-    Screen,
+    Screen = 3,
     /// Clipboard copy (selection ownership).
-    Copy,
+    Copy = 4,
     /// Clipboard paste (selection conversion).
-    Paste,
+    Paste = 5,
 }
 
 impl ResourceOp {
+    /// Every operation class, in [`ResourceOp::tag`] order.
+    pub(crate) const ALL: [ResourceOp; 6] = [
+        ResourceOp::Mic,
+        ResourceOp::Cam,
+        ResourceOp::Sensor,
+        ResourceOp::Screen,
+        ResourceOp::Copy,
+        ResourceOp::Paste,
+    ];
+
+    /// The stable one-byte tag of the operation class (its discriminant):
+    /// its snapshot encoding, the `op` of a ledger verdict, and its index
+    /// into [`OP_NAMES`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
     /// The paper's short name for the operation class — static, so trace
     /// spans and metric labels on the mediation hot path never allocate.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ResourceOp::Mic => "mic",
-            ResourceOp::Cam => "cam",
-            ResourceOp::Sensor => "sensor",
-            ResourceOp::Screen => "scr",
-            ResourceOp::Copy => "copy",
-            ResourceOp::Paste => "paste",
-        }
+        OP_NAMES[usize::from(self.tag())]
     }
 }
 
@@ -314,25 +324,13 @@ mod pack {
 
     impl Pack for ResourceOp {
         fn pack(&self, enc: &mut Enc) {
-            enc.put_u8(match self {
-                ResourceOp::Mic => 0,
-                ResourceOp::Cam => 1,
-                ResourceOp::Sensor => 2,
-                ResourceOp::Screen => 3,
-                ResourceOp::Copy => 4,
-                ResourceOp::Paste => 5,
-            });
+            enc.put_u8(self.tag());
         }
         fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(match dec.take_u8()? {
-                0 => ResourceOp::Mic,
-                1 => ResourceOp::Cam,
-                2 => ResourceOp::Sensor,
-                3 => ResourceOp::Screen,
-                4 => ResourceOp::Copy,
-                5 => ResourceOp::Paste,
-                _ => return Err(SnapshotError::BadValue("resource op")),
-            })
+            ResourceOp::ALL
+                .get(usize::from(dec.take_u8()?))
+                .copied()
+                .ok_or(SnapshotError::BadValue("resource op"))
         }
     }
 
@@ -506,8 +504,22 @@ mod tests {
 
     #[test]
     fn resource_op_display_matches_paper_notation() {
+        use overhaul_sim::{Dec, Enc, Pack, SnapshotError};
+
         assert_eq!(ResourceOp::Screen.to_string(), "scr");
         assert_eq!(ResourceOp::Mic.to_string(), "mic");
         assert_eq!(ResourceOp::Paste.to_string(), "paste");
+        // `ALL` lists the ops in tag order, each tag round-trips through
+        // the snapshot codec, and a tag past the last op is rejected.
+        for (i, op) in ResourceOp::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(op.tag()), i);
+            let mut enc = Enc::new();
+            op.pack(&mut enc);
+            assert_eq!(ResourceOp::unpack(&mut Dec::new(enc.bytes())), Ok(op));
+        }
+        assert_eq!(
+            ResourceOp::unpack(&mut Dec::new(&[6])),
+            Err(SnapshotError::BadValue("resource op"))
+        );
     }
 }

@@ -26,6 +26,10 @@ use std::fmt;
 
 use overhaul_sim::{Pid, Timestamp};
 
+// Defined in `overhaul-sim`, so the ledger records channel health without
+// a mirror type.
+pub use overhaul_sim::ChannelState;
+
 use crate::monitor::{AlertRequest, Decision, ResourceOp};
 use crate::process::ProcessTable;
 use crate::vfs::Vfs;
@@ -44,29 +48,6 @@ impl ConnId {
 impl fmt::Display for ConnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "nl:{}", self.0)
-    }
-}
-
-/// Health of the kernel↔display-manager channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelState {
-    /// Messages are delivered cleanly.
-    Up,
-    /// Messages are getting through, but only after retries, delays, or
-    /// duplicate suppression.
-    Degraded,
-    /// No authenticated display-manager connection is delivering messages;
-    /// the permission monitor fails closed.
-    Down,
-}
-
-impl fmt::Display for ChannelState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ChannelState::Up => "up",
-            ChannelState::Degraded => "degraded",
-            ChannelState::Down => "down",
-        })
     }
 }
 
@@ -440,27 +421,9 @@ mod pack {
     use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
     use overhaul_sim::{impl_pack, impl_pack_newtype};
 
-    use super::{ChannelState, ConnId, Connection, Netlink, NetlinkMessage};
+    use super::{ConnId, Connection, Netlink, NetlinkMessage};
 
     impl_pack_newtype!(ConnId, u32);
-
-    impl Pack for ChannelState {
-        fn pack(&self, enc: &mut Enc) {
-            enc.put_u8(match self {
-                ChannelState::Up => 0,
-                ChannelState::Degraded => 1,
-                ChannelState::Down => 2,
-            });
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(match dec.take_u8()? {
-                0 => ChannelState::Up,
-                1 => ChannelState::Degraded,
-                2 => ChannelState::Down,
-                _ => return Err(SnapshotError::BadValue("channel state")),
-            })
-        }
-    }
 
     impl Pack for NetlinkMessage {
         fn pack(&self, enc: &mut Enc) {

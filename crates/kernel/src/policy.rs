@@ -33,7 +33,7 @@
 
 use std::fmt;
 
-use overhaul_sim::{Pid, SimDuration, SlotId, Timestamp};
+use overhaul_sim::{Pid, RuleKind, SimDuration, SlotId, Timestamp};
 
 use crate::monitor::{Decision, DecisionReason, ResourceOp, Verdict};
 use crate::netlink::ChannelState;
@@ -332,46 +332,26 @@ impl DecisionTrace {
         }
     }
 
-    /// The audit-log detail line for this trace deciding `op`.
-    ///
-    /// Every mediation site renders its audit record (and, for denies,
-    /// its overlay-alert reason) from here, so the audit log, procfs, and
-    /// the overlay can never drift apart.
-    pub fn audit_detail(&self, op: ResourceOp) -> &'static str {
+    /// The rule that fired, in the ledger's vocabulary: its label names
+    /// the rule on spans and metrics, and its deny cause is what audit
+    /// rows and overlay alerts both show for a fail-closed deny.
+    pub fn rule(&self) -> RuleKind {
         match self {
-            DecisionTrace::ChannelDown => channel_down_detail(op),
-            DecisionTrace::Quarantined => quarantined_detail(op),
-            trace => decision_detail(op, trace.verdict().is_grant()),
-        }
-    }
-
-    /// The parenthesized deny cause shown verbatim on overlay alerts for
-    /// fail-closed denies, or `None` for grants and ordinary denies.
-    ///
-    /// The same constant is embedded in [`DecisionTrace::audit_detail`],
-    /// which is what keeps the audit log and the overlay agreeing
-    /// verbatim.
-    pub fn deny_cause(&self) -> Option<&'static str> {
-        match self {
-            DecisionTrace::ChannelDown => Some("channel down"),
-            DecisionTrace::Quarantined => Some("quarantined pending helper update"),
-            _ => None,
+            DecisionTrace::WithinThreshold { .. } => RuleKind::WithinThreshold,
+            DecisionTrace::GrantAll { .. } => RuleKind::GrantAll,
+            DecisionTrace::NoInteraction => RuleKind::NoInteraction,
+            DecisionTrace::Stale { .. } => RuleKind::Stale,
+            DecisionTrace::PermissionsFrozen => RuleKind::PermissionsFrozen,
+            DecisionTrace::ChannelDown => RuleKind::ChannelDown,
+            DecisionTrace::Quarantined => RuleKind::Quarantined,
+            DecisionTrace::UnknownProcess => RuleKind::UnknownProcess,
         }
     }
 
     /// A short static label naming the rule that fired, for span fields
     /// and metrics labels.
     pub fn kind_str(&self) -> &'static str {
-        match self {
-            DecisionTrace::WithinThreshold { .. } => "within-threshold",
-            DecisionTrace::GrantAll { .. } => "grant-all",
-            DecisionTrace::NoInteraction => "no-interaction",
-            DecisionTrace::Stale { .. } => "stale",
-            DecisionTrace::PermissionsFrozen => "permissions-frozen",
-            DecisionTrace::ChannelDown => "channel-down",
-            DecisionTrace::Quarantined => "quarantined",
-            DecisionTrace::UnknownProcess => "unknown-process",
-        }
+        self.rule().label()
     }
 
     /// The propagation chain behind the decision's evidence, when the
@@ -627,21 +607,8 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// The dense index of a [`ResourceOp`] (also its wire/ledger tag).
-#[inline]
-pub(crate) fn op_index(op: ResourceOp) -> usize {
-    match op {
-        ResourceOp::Mic => 0,
-        ResourceOp::Cam => 1,
-        ResourceOp::Sensor => 2,
-        ResourceOp::Screen => 3,
-        ResourceOp::Copy => 4,
-        ResourceOp::Paste => 5,
-    }
-}
-
 /// Number of [`ResourceOp`] variants (the width of per-task slot arrays).
-const OP_WAYS: usize = 6;
+const OP_WAYS: usize = ResourceOp::ALL.len();
 /// Verdict cells per task: one per `(op, quarantined)` pair.
 const VERDICT_WAYS: usize = OP_WAYS * 2;
 
@@ -734,7 +701,7 @@ impl VerdictCache {
     ) -> Option<DecisionOutcome> {
         let hit = match self
             .slot(id)
-            .and_then(|s| s.verdicts[op_index(op) * 2 + quarantined as usize].as_ref())
+            .and_then(|s| s.verdicts[usize::from(op.tag()) * 2 + quarantined as usize].as_ref())
         {
             Some(entry)
                 if entry.task_epoch == task_epoch
@@ -772,7 +739,7 @@ impl VerdictCache {
             validity: Validity::for_trace(&outcome.trace, delta),
             outcome: *outcome,
         };
-        let fresh = self.slot_mut(id).verdicts[op_index(op) * 2 + quarantined as usize]
+        let fresh = self.slot_mut(id).verdicts[usize::from(op.tag()) * 2 + quarantined as usize]
             .replace(cached)
             .is_none();
         if fresh {
@@ -784,12 +751,12 @@ impl VerdictCache {
     /// store of `Kernel::explain_last`).
     #[inline]
     pub fn record_last(&mut self, id: SlotId, op: ResourceOp, outcome: &DecisionOutcome) {
-        self.slot_mut(id).last[op_index(op)] = Some(*outcome);
+        self.slot_mut(id).last[usize::from(op.tag())] = Some(*outcome);
     }
 
     /// The task's most recent decision for `op`, if any.
     pub fn last(&self, id: SlotId, op: ResourceOp) -> Option<&DecisionOutcome> {
-        self.slot(id)?.last[op_index(op)].as_ref()
+        self.slot(id)?.last[usize::from(op.tag())].as_ref()
     }
 
     /// Drops every cell belonging to `id` (process exit / reap). Stale
@@ -843,45 +810,6 @@ pub fn adopt_on_receive(receiver: Option<Timestamp>, slot: Option<Timestamp>) ->
         (_, None) => None,
         (Some(own), Some(embedded)) if own >= embedded => None,
         (_, Some(embedded)) => Some(embedded),
-    }
-}
-
-fn decision_detail(op: ResourceOp, granted: bool) -> &'static str {
-    match (op, granted) {
-        (ResourceOp::Mic, true) => "op=mic granted",
-        (ResourceOp::Mic, false) => "op=mic denied",
-        (ResourceOp::Cam, true) => "op=cam granted",
-        (ResourceOp::Cam, false) => "op=cam denied",
-        (ResourceOp::Sensor, true) => "op=sensor granted",
-        (ResourceOp::Sensor, false) => "op=sensor denied",
-        (ResourceOp::Screen, true) => "op=scr granted",
-        (ResourceOp::Screen, false) => "op=scr denied",
-        (ResourceOp::Copy, true) => "op=copy granted",
-        (ResourceOp::Copy, false) => "op=copy denied",
-        (ResourceOp::Paste, true) => "op=paste granted",
-        (ResourceOp::Paste, false) => "op=paste denied",
-    }
-}
-
-fn channel_down_detail(op: ResourceOp) -> &'static str {
-    match op {
-        ResourceOp::Mic => "op=mic denied (channel down)",
-        ResourceOp::Cam => "op=cam denied (channel down)",
-        ResourceOp::Sensor => "op=sensor denied (channel down)",
-        ResourceOp::Screen => "op=scr denied (channel down)",
-        ResourceOp::Copy => "op=copy denied (channel down)",
-        ResourceOp::Paste => "op=paste denied (channel down)",
-    }
-}
-
-fn quarantined_detail(op: ResourceOp) -> &'static str {
-    match op {
-        ResourceOp::Mic => "op=mic denied (quarantined pending helper update)",
-        ResourceOp::Cam => "op=cam denied (quarantined pending helper update)",
-        ResourceOp::Sensor => "op=sensor denied (quarantined pending helper update)",
-        ResourceOp::Screen => "op=scr denied (quarantined pending helper update)",
-        ResourceOp::Copy => "op=copy denied (quarantined pending helper update)",
-        ResourceOp::Paste => "op=paste denied (quarantined pending helper update)",
     }
 }
 
@@ -1167,23 +1095,40 @@ mod tests {
 
     #[test]
     fn audit_details_match_the_legacy_strings() {
+        use overhaul_sim::LedgerEntry;
+
         let grant = PolicyEngine::evaluate_at(&snapshot(Some(live_task(Some(0)))), at(100));
-        assert_eq!(grant.trace.audit_detail(ResourceOp::Mic), "op=mic granted");
         let deny = PolicyEngine::evaluate_at(&snapshot(Some(live_task(None))), at(100));
-        assert_eq!(deny.trace.audit_detail(ResourceOp::Cam), "op=cam denied");
+        let names = ["mic", "cam", "sensor", "scr", "copy", "paste"];
+        for (op, name) in ResourceOp::ALL.into_iter().zip(names) {
+            let detail = |trace: DecisionTrace| {
+                let granted = trace.verdict().is_grant();
+                LedgerEntry::verdict(at(100), Pid::from_raw(2), granted, op.tag(), trace.rule())
+                    .detail()
+                    .into_owned()
+            };
+            assert_eq!(detail(grant.trace), format!("op={name} granted"));
+            for denied in [
+                deny.trace,
+                DecisionTrace::PermissionsFrozen,
+                DecisionTrace::UnknownProcess,
+            ] {
+                assert_eq!(detail(denied), format!("op={name} denied"));
+            }
+            assert_eq!(
+                detail(DecisionTrace::ChannelDown),
+                format!("op={name} denied (channel down)")
+            );
+            assert_eq!(
+                detail(DecisionTrace::Quarantined),
+                format!("op={name} denied (quarantined pending helper update)")
+            );
+        }
         assert_eq!(
-            DecisionTrace::ChannelDown.audit_detail(ResourceOp::Screen),
-            "op=scr denied (channel down)"
-        );
-        assert_eq!(
-            DecisionTrace::Quarantined.audit_detail(ResourceOp::Mic),
-            "op=mic denied (quarantined pending helper update)"
-        );
-        assert_eq!(
-            DecisionTrace::Quarantined.deny_cause(),
+            DecisionTrace::Quarantined.rule().deny_cause(),
             Some("quarantined pending helper update")
         );
-        assert_eq!(DecisionTrace::NoInteraction.deny_cause(), None);
+        assert_eq!(DecisionTrace::NoInteraction.rule().deny_cause(), None);
     }
 
     #[test]

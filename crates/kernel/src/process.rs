@@ -11,9 +11,8 @@
 //! to a task with two array indexes instead of a `BTreeMap` walk. Pids are
 //! sequential and never reused, which keeps `by_pid` a straight `Vec`; a
 //! reaped pid leaves a dead entry behind whose generation check fails, so a
-//! stale [`SlotId`] can never alias a later task. The snapshot codec still
-//! emits the legacy sorted `(pid, task)` layout byte-for-byte and rebuilds
-//! the arena on decode.
+//! stale [`SlotId`] can never alias a later task. The snapshot codec writes
+//! the tasks in pid order and rebuilds the arena on decode.
 
 use overhaul_sim::{Pid, Slab, SlotId, Uid};
 
@@ -257,16 +256,13 @@ impl ProcessTable {
 }
 
 mod pack {
-    //! Snapshot codec for the process table.
-    //!
-    //! Emits the pre-arena layout byte-for-byte: a `u64` task count, the
-    //! `(pid, task)` pairs in ascending pid order (exactly what the old
-    //! `BTreeMap<Pid, Task>` field produced), then `next_pid`. Arena slots,
-    //! generations, and the pid index are derived state rebuilt on decode,
-    //! so state hashes are unchanged across the refactor.
+    //! Snapshot codec for the process table: a `u64` task count, the
+    //! tasks in ascending pid order, then `next_pid`. Each task carries
+    //! its own pid, so no separate key is written. Arena slots,
+    //! generations, and the pid index are derived state rebuilt on decode.
 
     use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
-    use overhaul_sim::Pid;
+    use overhaul_sim::Slab;
 
     use super::ProcessTable;
     use crate::task::Task;
@@ -275,33 +271,31 @@ mod pack {
         fn pack(&self, enc: &mut Enc) {
             enc.put_u64(self.arena.len() as u64);
             for task in self.iter() {
-                task.pid().pack(enc);
                 task.pack(enc);
             }
             enc.put_u32(self.next_pid);
         }
 
         fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            let count = dec.take_u64()?;
+            let tasks = Vec::<Task>::unpack(dec)?;
+            let next_pid = dec.take_u32()?;
+            // Validate every pid before installing any, so the pid index
+            // only ever grows to a pid below `next_pid`.
+            if tasks.windows(2).any(|w| w[0].pid() >= w[1].pid()) {
+                return Err(SnapshotError::BadValue("process table pid order"));
+            }
+            // Pids are never reused: the next fork must not re-issue one.
+            if tasks.last().is_some_and(|t| t.pid().as_raw() >= next_pid) {
+                return Err(SnapshotError::BadValue("process table next pid"));
+            }
             let mut table = ProcessTable {
-                arena: overhaul_sim::Slab::new(),
+                arena: Slab::new(),
                 by_pid: Vec::new(),
-                next_pid: 2,
+                next_pid,
             };
-            let mut prev: Option<Pid> = None;
-            for _ in 0..count {
-                let pid = Pid::unpack(dec)?;
-                if prev.is_some_and(|p| p >= pid) {
-                    return Err(SnapshotError::BadValue("process table pid order"));
-                }
-                prev = Some(pid);
-                let task = Task::unpack(dec)?;
-                if task.pid() != pid {
-                    return Err(SnapshotError::BadValue("process table pid mismatch"));
-                }
+            for task in tasks {
                 table.install(task);
             }
-            table.next_pid = dec.take_u32()?;
             Ok(table)
         }
     }
@@ -465,29 +459,31 @@ mod tests {
     }
 
     #[test]
-    fn pack_layout_matches_legacy_btreemap_encoding() {
-        use overhaul_sim::snapshot::{Dec, Enc, Pack};
-        use std::collections::BTreeMap;
+    fn decode_rejects_a_next_pid_at_or_below_a_live_pid() {
+        use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
 
         let mut table = ProcessTable::new();
         let a = table.fork(Pid::INIT).unwrap();
         let b = table.spawn(a, "/usr/bin/cam").unwrap();
         table.exit(b, 3).unwrap();
-
         let mut enc = Enc::new();
         table.pack(&mut enc);
-        let arena_bytes = enc.into_bytes();
+        let bytes = enc.into_bytes();
 
-        // Re-encode through the legacy shape: BTreeMap<Pid, Task> + u32.
-        let map: BTreeMap<Pid, Task> = table.iter().map(|t| (t.pid(), t.clone())).collect();
-        let mut legacy = Enc::new();
-        map.pack(&mut legacy);
-        legacy.put_u32(table.next_pid);
-        assert_eq!(arena_bytes, legacy.into_bytes());
+        let restored = ProcessTable::unpack(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!((restored.len(), restored.next_pid), (3, 4));
+        assert!(restored.is_running(a) && !restored.is_running(b));
 
-        let restored = ProcessTable::unpack(&mut Dec::new(&arena_bytes)).unwrap();
-        assert_eq!(restored.len(), table.len());
-        assert_eq!(restored.next_pid, table.next_pid);
-        assert!(restored.is_running(a));
+        // `next_pid` is the trailing u32: point it back at a live pid.
+        for next_pid in [2u32, 3] {
+            let mut evil = bytes.clone();
+            let at = evil.len() - 4;
+            evil[at..].copy_from_slice(&next_pid.to_le_bytes());
+            assert_eq!(
+                ProcessTable::unpack(&mut Dec::new(&evil)).err(),
+                Some(SnapshotError::BadValue("process table next pid")),
+                "next_pid {next_pid}"
+            );
+        }
     }
 }

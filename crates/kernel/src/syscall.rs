@@ -19,9 +19,7 @@
 //! subsequent reads/writes.
 
 use overhaul_sim::work;
-use overhaul_sim::{
-    AuditCategory, ChannelTag, Effect, Fd, LedgerEntry, Pid, Timestamp, TraceValue, Uid,
-};
+use overhaul_sim::{AuditCategory, Effect, Fd, LedgerEntry, Pid, Timestamp, TraceValue, Uid};
 
 use crate::device::DeviceClass;
 use crate::error::{Errno, SysResult};
@@ -191,7 +189,7 @@ impl Kernel {
                     },
                 )
                 .with_effect(Effect::Channel {
-                    to: ChannelTag::Down,
+                    to: ChannelState::Down,
                 }),
             );
         }

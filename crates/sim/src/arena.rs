@@ -16,10 +16,11 @@
 //!
 //! Both structures are deterministic: ids and symbols are assigned in
 //! insertion order, so identical event histories produce identical ids on
-//! every run. Neither participates in the snapshot codec directly — owners
-//! serialize their contents in the legacy (sorted, fully-keyed) layout so
-//! that state hashes stay byte-identical, and rebuild the arena/intern
-//! state on decode.
+//! every run. Neither participates in the snapshot codec directly: owners
+//! serialize their contents in a canonical order (tasks by pid, windows
+//! bottom to top, device paths sorted), each key written once, and
+//! rebuild the arena/intern state on decode, so slot indices and
+//! generations never reach a state hash.
 
 use std::collections::HashMap;
 

@@ -123,7 +123,7 @@ impl<'a> AuditLog<'a> {
 
     /// Iterator over rows whose detail contains `needle`.
     pub fn matching(self, needle: &'a str) -> impl Iterator<Item = &'a LedgerEntry> {
-        self.events().filter(move |e| e.detail.contains(needle))
+        self.events().filter(move |e| e.detail().contains(needle))
     }
 
     /// Total number of rows.

@@ -61,21 +61,37 @@ pub enum ConfigKey {
     GrantAll,
 }
 
-/// Channel health as recorded in the ledger (mirrors the kernel's
-/// `ChannelState` without depending on the kernel crate).
+/// Health of the kernel↔display-manager channel: the kernel's netlink
+/// state machine and the ledger's [`Effect::Channel`] share this one type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChannelTag {
-    /// Authenticated and healthy.
+pub enum ChannelState {
+    /// Messages are delivered cleanly.
     Up,
-    /// Healthy but recently lossy/reordered.
+    /// Messages are getting through, but only after retries, delays, or
+    /// duplicate suppression.
     Degraded,
-    /// No authenticated display channel.
+    /// No authenticated display-manager connection is delivering messages;
+    /// the permission monitor fails closed.
     #[default]
     Down,
 }
 
-/// Which policy rule produced a verdict (mirrors the kernel's
-/// `DecisionTrace` variants; labels match `DecisionTrace::kind_str`).
+impl fmt::Display for ChannelState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ChannelState::Up => "up",
+            ChannelState::Degraded => "degraded",
+            ChannelState::Down => "down",
+        })
+    }
+}
+
+/// The paper's short name of each privileged operation class, indexed by
+/// the [`Effect::Verdict`] `op` tag (the kernel's `ResourceOp::tag`).
+pub const OP_NAMES: [&str; 6] = ["mic", "cam", "sensor", "scr", "copy", "paste"];
+
+/// Which policy rule produced a verdict (one per kernel `DecisionTrace`
+/// variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleKind {
     /// Interaction within δ.
@@ -97,7 +113,7 @@ pub enum RuleKind {
 }
 
 impl RuleKind {
-    /// Stable label (identical to the decision trace's `kind_str`).
+    /// Stable label naming the rule, for span fields and metrics labels.
     pub fn label(&self) -> &'static str {
         match self {
             RuleKind::WithinThreshold => "within-threshold",
@@ -108,6 +124,16 @@ impl RuleKind {
             RuleKind::ChannelDown => "channel-down",
             RuleKind::Quarantined => "quarantined",
             RuleKind::UnknownProcess => "unknown-process",
+        }
+    }
+
+    /// The cause a fail-closed deny names in its audit row and on its
+    /// overlay alert, or `None` for grants and ordinary denies.
+    pub fn deny_cause(&self) -> Option<&'static str> {
+        match self {
+            RuleKind::ChannelDown => Some("channel down"),
+            RuleKind::Quarantined => Some("quarantined pending helper update"),
+            _ => None,
         }
     }
 }
@@ -127,7 +153,7 @@ pub enum Effect {
     /// The display channel transitioned.
     Channel {
         /// The state it transitioned to.
-        to: ChannelTag,
+        to: ChannelState,
     },
     /// A device node was attached and mapped (boot/udev attach).
     DeviceAttached {
@@ -166,7 +192,7 @@ pub enum Effect {
     Verdict {
         /// Whether access was granted.
         granted: bool,
-        /// Raw resource-op tag (kernel `ResourceOp` discriminant).
+        /// Resource-op tag: an index into [`OP_NAMES`].
         op: u8,
         /// Which policy rule fired.
         rule: RuleKind,
@@ -212,9 +238,9 @@ impl Effect {
 
 /// One typed history entry, before sealing.
 ///
-/// `category`/`pid`/`detail` are the audit row; `effect` is the
-/// structured payload the reduction folds; a `silent` entry is not an
-/// audit row — used for control-plane mutations that were historically
+/// `category`/`pid`/[`LedgerEntry::detail`] are the audit row; `effect`
+/// is the structured payload the reduction folds; a `silent` entry is not
+/// an audit row — used for control-plane mutations that were historically
 /// unaudited, so the rendered log stays byte-identical to what tests
 /// expect.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,9 +251,11 @@ pub struct LedgerEntry {
     pub pid: Option<Pid>,
     /// Audit category.
     pub category: AuditCategory,
-    /// Rendered detail. Hot-path appends use `Cow::Borrowed` statics so
-    /// sealing is allocation-free.
-    pub detail: Cow<'static, str>,
+    /// Stored detail text; empty for entries built by
+    /// [`LedgerEntry::verdict`], whose detail renders from the effect.
+    /// Hot-path appends use `Cow::Borrowed` statics so sealing is
+    /// allocation-free.
+    text: Cow<'static, str>,
     /// Structured payload, if the entry mutates control-plane state or
     /// records a verdict.
     pub effect: Option<Effect>,
@@ -248,10 +276,27 @@ impl LedgerEntry {
             at,
             pid,
             category,
-            detail: detail.into(),
+            text: detail.into(),
             effect: None,
             silent: false,
         }
+    }
+
+    /// A permission verdict for `pid`: the category follows `granted`, and
+    /// the entry stores no text, so [`LedgerEntry::detail`] renders its row
+    /// from the `Copy`-sized [`Effect::Verdict`] it carries.
+    #[inline]
+    pub fn verdict(at: Timestamp, pid: Pid, granted: bool, op: u8, rule: RuleKind) -> Self {
+        let category = if granted {
+            AuditCategory::PermissionGranted
+        } else {
+            AuditCategory::PermissionDenied
+        };
+        LedgerEntry::event(at, category, Some(pid), "").with_effect(Effect::Verdict {
+            granted,
+            op,
+            rule,
+        })
     }
 
     /// Attaches a structured effect.
@@ -267,9 +312,28 @@ impl LedgerEntry {
             at,
             pid: None,
             category: AuditCategory::Info,
-            detail: Cow::Borrowed(""),
+            text: Cow::Borrowed(""),
             effect: Some(effect),
             silent: true,
+        }
+    }
+
+    /// The audit row's detail: the stored text, or, for a verdict entry
+    /// that stores none, `op=<name> granted|denied` followed by
+    /// ` (<cause>)` for a fail-closed deny. An `op` tag outside
+    /// [`OP_NAMES`] (only a hand-built or decoded entry can carry one)
+    /// renders as `?`.
+    pub fn detail(&self) -> Cow<'_, str> {
+        match self.effect {
+            Some(Effect::Verdict { granted, op, rule }) if self.text.is_empty() => {
+                let name = OP_NAMES.get(usize::from(op)).copied().unwrap_or("?");
+                let outcome = if granted { "granted" } else { "denied" };
+                Cow::Owned(match rule.deny_cause() {
+                    Some(cause) => format!("op={name} {outcome} ({cause})"),
+                    None => format!("op={name} {outcome}"),
+                })
+            }
+            _ => Cow::Borrowed(&self.text),
         }
     }
 }
@@ -278,14 +342,11 @@ impl LedgerEntry {
 /// the pid omitted when the entry names none.
 impl fmt::Display for LedgerEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.pid {
-            Some(pid) => write!(
-                f,
-                "[{}] {} {}: {}",
-                self.at, self.category, pid, self.detail
-            ),
-            None => write!(f, "[{}] {}: {}", self.at, self.category, self.detail),
+        write!(f, "[{}] {}", self.at, self.category)?;
+        if let Some(pid) = self.pid {
+            write!(f, " {pid}")?;
         }
+        write!(f, ": {}", self.detail())
     }
 }
 
@@ -538,7 +599,7 @@ pub struct ControlPlane {
     /// The monitor's grant-all (measurement) mode.
     pub grant_all: bool,
     /// Display-channel health.
-    pub channel: ChannelTag,
+    pub channel: ChannelState,
     /// Sensitive-device map: path → raw device id.
     pub devices_by_path: BTreeMap<String, u32>,
     /// Devices quarantined pending a helper update.
@@ -762,7 +823,7 @@ mod pack {
     //! decoded ledger still witnesses any corruption of its bytes.
 
     use super::{
-        ChannelTag, ConfigKey, ControlPlane, Effect, Ledger, LedgerEntry, RuleKind, SealedEntry,
+        ChannelState, ConfigKey, ControlPlane, Effect, Ledger, LedgerEntry, RuleKind, SealedEntry,
     };
     use crate::impl_pack;
     use crate::snapshot::{Dec, Enc, Pack, SnapshotError};
@@ -789,20 +850,20 @@ mod pack {
         }
     }
 
-    impl Pack for ChannelTag {
+    impl Pack for ChannelState {
         fn pack(&self, enc: &mut Enc) {
             enc.put_u8(match self {
-                ChannelTag::Up => 0,
-                ChannelTag::Degraded => 1,
-                ChannelTag::Down => 2,
+                ChannelState::Up => 0,
+                ChannelState::Degraded => 1,
+                ChannelState::Down => 2,
             });
         }
         fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
             Ok(match dec.take_u8()? {
-                0 => ChannelTag::Up,
-                1 => ChannelTag::Degraded,
-                2 => ChannelTag::Down,
-                _ => return Err(SnapshotError::BadValue("channel tag")),
+                0 => ChannelState::Up,
+                1 => ChannelState::Degraded,
+                2 => ChannelState::Down,
+                _ => return Err(SnapshotError::BadValue("channel state")),
             })
         }
     }
@@ -919,7 +980,7 @@ mod pack {
         at,
         pid,
         category,
-        detail,
+        text,
         effect,
         silent
     });
@@ -997,8 +1058,9 @@ mod tests {
             ),
         );
         ledger.append(
-            entry(20, "netlink: peer authenticated")
-                .with_effect(Effect::Channel { to: ChannelTag::Up }),
+            entry(20, "netlink: peer authenticated").with_effect(Effect::Channel {
+                to: ChannelState::Up,
+            }),
         );
         ledger.append(entry(30, "op=mic granted").with_effect(Effect::Verdict {
             granted: true,
@@ -1031,13 +1093,35 @@ mod tests {
             "the silent config entry is not an audit row"
         );
         assert_eq!(ledger.audit().matching("op=mic granted").count(), 1);
+
+        // An entry built with `event(..).with_effect(..)` keeps and renders
+        // its own text, even next to a verdict effect...
+        let own = entry(40, "permission granted").with_effect(Effect::Verdict {
+            granted: true,
+            op: 0,
+            rule: RuleKind::WithinThreshold,
+        });
+        assert_eq!(own.detail(), "permission granted");
+        // ...while a `verdict` entry stores none and renders its effect.
+        let derived = LedgerEntry::verdict(
+            Timestamp::from_millis(40),
+            Pid::from_raw(3),
+            false,
+            5,
+            RuleKind::ChannelDown,
+        );
+        assert_eq!(derived.category, AuditCategory::PermissionDenied);
+        assert_eq!(
+            derived.to_string(),
+            "[t+40ms] permission-denied pid:3: op=paste denied (channel down)"
+        );
     }
 
     #[test]
     fn tampered_payload_seal_or_seq_fails_typed() {
         // Payload tamper.
         let mut ledger = sample();
-        ledger.entries[1].entry.detail = Cow::Borrowed("forged");
+        ledger.entries[1].entry.text = Cow::Borrowed("forged");
         assert!(matches!(
             ledger.verify_chain(),
             Err(LedgerError::ChainMismatch { seq: 1, .. })

@@ -66,8 +66,8 @@ pub use audit::{AuditCategory, AuditLog};
 pub use fault::{ChannelFault, FaultPlan, FaultSpec, FaultStats};
 pub use ids::{Fd, Pid, Uid};
 pub use ledger::{
-    ChannelTag, ConfigKey, ControlPlane, Effect, Ledger, LedgerEntry, LedgerError, LedgerSummary,
-    RuleKind, SealedEntry,
+    ChannelState, ConfigKey, ControlPlane, Effect, Ledger, LedgerEntry, LedgerError, LedgerSummary,
+    RuleKind, SealedEntry, OP_NAMES,
 };
 pub use rng::SimRng;
 pub use sketch::{Exemplar, Mechanism, Sketch, SketchBook, Sketches, FLEET_QUANTILES};

@@ -43,7 +43,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OVSN";
 
 /// Current snapshot format version. Bumped on any encoding change;
 /// [`Snapshot::from_bytes`] rejects versions it does not understand.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why decoding a snapshot failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

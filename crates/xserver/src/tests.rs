@@ -663,7 +663,7 @@ fn paste_after_owner_disconnect_fails_closed() {
         rig.x
             .audit()
             .events()
-            .any(|e| e.detail.contains("stale owner")),
+            .any(|e| e.detail().contains("stale owner")),
         "deny is audited with its cause"
     );
     // The stale record is gone: a retry sees "no owner" and gets the

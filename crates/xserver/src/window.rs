@@ -381,13 +381,11 @@ impl WindowTree {
 }
 
 mod pack {
-    //! Snapshot codec for the window tree. The tree encodes as the
-    //! `BTreeMap<WindowId, Window>` layout it historically used (count,
-    //! then id-sorted `(id, window)` pairs), byte for byte, so state
-    //! hashes and committed snapshots are unaffected by the arena; the
-    //! slab and dense id index are rebuilt on decode.
-
-    use std::collections::BTreeMap;
+    //! Snapshot codec for the window tree: a `u64` window count, the
+    //! windows in bottom-to-top stacking order, then the id counter
+    //! `next`. The encoding order is the stacking order and each window
+    //! carries its own id, so every id is written once; the slab, the
+    //! dense id index and the stacking list are rebuilt on decode.
 
     use overhaul_sim::{impl_pack, impl_pack_newtype, Dec, Enc, Pack, SnapshotError};
 
@@ -406,28 +404,28 @@ mod pack {
 
     impl Pack for WindowTree {
         fn pack(&self, enc: &mut Enc) {
-            enc.put_u64(self.arena.len() as u64);
-            for window in self.windows_by_id() {
-                window.id.pack(enc);
+            let stacked = || self.stacking.iter().filter_map(|id| self.window(*id));
+            enc.put_u64(stacked().count() as u64);
+            for window in stacked() {
                 window.pack(enc);
             }
-            self.stacking.pack(enc);
             enc.put_u64(self.next);
         }
 
         fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            let windows = BTreeMap::<WindowId, Window>::unpack(dec)?;
-            let stacking = Vec::<WindowId>::unpack(dec)?;
+            let windows = Vec::<Window>::unpack(dec)?;
             let next = dec.take_u64()?;
             let mut tree = WindowTree {
-                stacking,
                 next,
                 ..WindowTree::default()
             };
-            for (id, window) in windows {
-                if id != window.id || id.as_raw() == 0 || id.as_raw() > next {
+            for window in windows {
+                let id = window.id;
+                // Ids are issued from 1 up to `next` and never reused.
+                if id.as_raw() == 0 || id.as_raw() > next || tree.slot_of(id).is_some() {
                     return Err(SnapshotError::BadValue("window id"));
                 }
+                tree.stacking.push(id);
                 tree.install(window);
             }
             Ok(tree)
@@ -604,48 +602,52 @@ mod tests {
     }
 
     #[test]
-    fn pack_layout_matches_legacy_btreemap_encoding() {
-        use overhaul_sim::{Dec, Enc, Pack};
+    fn decode_rejects_duplicate_zero_and_unissued_window_ids() {
+        use overhaul_sim::{Dec, Enc, Pack, SnapshotError};
 
         let mut tree = WindowTree::new();
         let a = tree.create(client(1), Rect::new(0, 0, 4, 4));
         let b = tree.create(client(2), Rect::new(1, 1, 4, 4));
-        let c = tree.create(client(1), Rect::new(2, 2, 4, 4));
-        tree.map(a, ts(5)).unwrap();
-        tree.map(c, ts(7)).unwrap();
-        tree.raise(a, ts(9)).unwrap();
-        // Churn so the arena's slot order diverges from id order.
-        tree.destroy(b, ts(11)).unwrap();
-        let d = tree.create(client(3), Rect::new(3, 3, 4, 4));
-        tree.set_property(d, Atom::new("N"), b"x".to_vec()).unwrap();
+        tree.map(b, ts(3)).unwrap();
+        tree.raise(a, ts(5)).unwrap();
+        let gone = tree.create(client(3), Rect::new(2, 2, 4, 4));
+        tree.destroy(gone, ts(7)).unwrap();
+        let encode = |windows: &[Window]| {
+            let mut enc = Enc::new();
+            windows.to_vec().pack(&mut enc);
+            enc.put_u64(tree.next);
+            enc.into_bytes()
+        };
+        let wa = tree.get(a).unwrap().clone();
+        let wb = tree.get(b).unwrap().clone();
 
-        let mut legacy_windows = BTreeMap::new();
-        for w in tree.windows_by_id() {
-            legacy_windows.insert(w.id, w.clone());
-        }
-        let mut legacy = Enc::new();
-        legacy_windows.pack(&mut legacy);
-        tree.stacking.pack(&mut legacy);
-        legacy.put_u64(tree.next);
-
-        let mut current = Enc::new();
-        tree.pack(&mut current);
-        assert_eq!(current.bytes(), legacy.bytes());
-
-        let mut dec = Dec::new(current.bytes());
-        let restored = WindowTree::unpack(&mut dec).expect("decode");
-        dec.finish().expect("no trailing bytes");
-        assert_eq!(restored.len(), tree.len());
-        assert_eq!(restored.stacking_order(), tree.stacking_order());
-        assert_eq!(restored.get(a).unwrap().visible_since(), Some(ts(5)));
-        assert_eq!(
-            restored.get(d).unwrap().property(&Atom::new("N")),
-            Some(&b"x"[..])
-        );
-        assert_eq!(restored.get(b).err(), Some(XError::BadWindow));
-        // Re-encoding the rebuilt tree is a fixed point.
+        // The tree encodes bottom to top, and decoding restores that order;
+        // a destroyed id stays dead and re-encoding is a fixed point.
+        let mut enc = Enc::new();
+        tree.pack(&mut enc);
+        assert_eq!(enc.bytes(), encode(&[wb.clone(), wa.clone()]));
+        let restored = WindowTree::unpack(&mut Dec::new(enc.bytes())).expect("decode");
+        assert_eq!(restored.stacking_order(), &[b, a]);
+        assert_eq!(restored.get(gone).err(), Some(XError::BadWindow));
         let mut again = Enc::new();
         restored.pack(&mut again);
-        assert_eq!(again.bytes(), current.bytes());
+        assert_eq!(again.bytes(), enc.bytes());
+
+        for windows in [
+            vec![wb.clone(), wa.clone(), wa.clone()],
+            vec![Window {
+                id: WindowId(0),
+                ..wa.clone()
+            }],
+            vec![Window {
+                id: WindowId(tree.next + 1),
+                ..wa.clone()
+            }],
+        ] {
+            assert_eq!(
+                WindowTree::unpack(&mut Dec::new(&encode(&windows))).err(),
+                Some(SnapshotError::BadValue("window id"))
+            );
+        }
     }
 }

@@ -319,9 +319,9 @@ proptest! {
         for e in events {
             match e.category {
                 AuditCategory::ChannelEvent => {
-                    if e.detail.contains("-> down") {
+                    if e.detail().contains("-> down") {
                         down = true;
-                    } else if e.detail.contains("-> up") || e.detail.contains("-> degraded") {
+                    } else if e.detail().contains("-> up") || e.detail().contains("-> degraded") {
                         // Degraded is a functioning channel (faults observed,
                         // exchanges still completing), so a `down -> degraded`
                         // transition is a recovery.
@@ -329,7 +329,7 @@ proptest! {
                     }
                 }
                 AuditCategory::PermissionGranted => {
-                    prop_assert!(!down, "grant while channel down: {:?}", e.detail);
+                    prop_assert!(!down, "grant while channel down: {:?}", e.detail());
                 }
                 _ => {}
             }

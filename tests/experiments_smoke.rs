@@ -228,8 +228,8 @@ fn audit_timeline_example_output_is_pinned() {
             fnv1a64(machine.metrics().as_bytes()),
         ),
         (
-            0xb088_8d7c_8819_fa4a,
-            0xec3f_0841_b5d8_6f28,
+            0x78f0_8db9_d06a_a91e,
+            0x659d_616b_7903_a1b6,
             0xb0bf_94b4_00e2_71f7
         ),
         "state hash, ledger head, metrics page"

@@ -221,9 +221,9 @@ impl Soak {
         for event in self.machine.kernel_audit().events() {
             match event.category {
                 AuditCategory::ChannelEvent => {
-                    if event.detail.contains("-> down") {
+                    if event.detail().contains("-> down") {
                         down = true;
-                    } else if event.detail.contains("-> up") {
+                    } else if event.detail().contains("-> up") {
                         down = false;
                     }
                 }
@@ -231,7 +231,7 @@ impl Soak {
                     assert!(
                         !down,
                         "grant while the channel was down: {:?}",
-                        event.detail
+                        event.detail()
                     );
                 }
                 _ => {}
