@@ -12,7 +12,7 @@ use overhaul_kernel::error::{Errno, SysResult};
 use overhaul_kernel::netlink::{ChannelState, ConnId, KernelPush, NetlinkError};
 use overhaul_kernel::syscall::OpenMode;
 use overhaul_kernel::{Kernel, XORG_PATH};
-use overhaul_sim::snapshot::{fnv1a64, Dec, Enc, Pack, Snapshot, SnapshotError};
+use overhaul_sim::snapshot::{hash64, Dec, Enc, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, ControlPlane, FaultPlan, Fd, Ledger, LedgerError, Mechanism,
     ModelledCost, Pid, SimDuration, SketchBook, Sketches, Timestamp, Tracer,
@@ -397,14 +397,14 @@ impl System {
         overhaul_sim::LedgerSummary::of(self.kernel.ledger())
     }
 
-    /// The machine's sealed chain head: FNV-1a over the kernel and
+    /// The machine's sealed chain head: [`hash64`] over the kernel and
     /// display-manager chain heads. Two machines with equal ledger heads
     /// recorded byte-identical histories.
     pub fn ledger_head(&self) -> u64 {
         let mut enc = Enc::new();
         self.kernel.ledger().head().pack(&mut enc);
         self.x.ledger().head().pack(&mut enc);
-        fnv1a64(enc.bytes())
+        hash64(enc.bytes())
     }
 
     /// Chain-verifies both component ledgers.
@@ -758,11 +758,11 @@ impl System {
         enc.into_bytes()
     }
 
-    /// Canonical hash of the machine's primary state: FNV-1a over the
+    /// Canonical hash of the machine's primary state: [`hash64`] over the
     /// serialized state section. Two machines with equal hashes decide,
     /// trace, and evolve identically from here on.
     pub fn state_hash(&self) -> u64 {
-        fnv1a64(&self.export_state())
+        hash64(&self.export_state())
     }
 
     /// Checkpoints the machine into a versioned [`Snapshot`]. The exported

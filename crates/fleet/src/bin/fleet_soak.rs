@@ -38,7 +38,7 @@ use overhaul_fleet::{
     write_soak_dir, ChaosSpec, FailureKind, FailureTriple, FleetConfig, FleetWorkload, ShardBeat,
     ShardPlan,
 };
-use overhaul_sim::{snapshot::fnv1a64, BenchArtifact};
+use overhaul_sim::{snapshot::hash64, BenchArtifact};
 
 fn arg_value(name: &str) -> Option<u64> {
     arg_str(name).and_then(|v| v.parse().ok())
@@ -118,7 +118,7 @@ fn main() {
     );
     println!(
         "merged sketch canonical hash {:#018x} (deterministic plane)",
-        fnv1a64(&report.sketches.canonical_bytes())
+        hash64(&report.sketches.canonical_bytes())
     );
     let ledger_entries_total: u64 = report.ledgers.iter().map(|(_, l)| l.entries).sum();
     println!(

@@ -12,8 +12,10 @@
 //!
 //! 1. the live chain verifies (`verify_chain` on both components);
 //! 2. the sealed ledger survives a byte round-trip onto the same head;
-//! 3. any single-bit corruption of those bytes is *rejected* (typed
-//!    error at decode or verify, sampled across the buffer);
+//! 3. any corruption of either component's bytes is *rejected* (typed
+//!    error at decode or verify), sampled across each buffer: one flipped
+//!    bit, and the same bit flipped in the next 8-byte lane as well (the
+//!    pair a word-wise hash with cancelling lanes would miss);
 //! 4. `reduce()` re-derives the live control-plane state byte-identically
 //!    — from boot, after a replay from boot, and after a replay resumed
 //!    from the mid-run snapshot;
@@ -113,26 +115,36 @@ fn soak(
     (system, log, snap, snap_idx)
 }
 
-/// Sampled single-bit corruption: every flip must be rejected at decode
-/// or fail chain verification. Returns the number of undetected flips.
-fn corruption_sweep(bytes: &[u8], stride: usize) -> usize {
-    let mut undetected = 0usize;
+/// Sampled corruption of one component's sealed bytes: at every
+/// `stride`-th byte, one flipped bit, then that bit flipped together with
+/// the same bit 8 bytes later. Every corruption must be rejected at decode
+/// or fail chain verification. Returns (corruptions tried, undetected).
+fn corruption_sweep(label: &str, bytes: &[u8], stride: usize) -> (usize, usize) {
+    let (mut tried, mut undetected) = (0usize, 0usize);
     let mut rng = SimRng::stream(0x1ed9e4, 9);
     for byte in (0..bytes.len()).step_by(stride) {
         let bit = rng.range(0, 8) as u8;
-        let mut fuzzed = bytes.to_vec();
-        fuzzed[byte] ^= 1 << bit;
-        if let Ok(ledger) = Ledger::from_bytes(&fuzzed) {
-            if ledger.verify_chain().is_ok() {
-                println!(
-                    "  undetected flip: bit {bit} of byte {byte}/{}",
-                    bytes.len()
-                );
-                undetected += 1;
+        for flips in [&[byte][..], &[byte, byte + 8]] {
+            if flips.iter().any(|&i| i >= bytes.len()) {
+                continue;
+            }
+            let mut fuzzed = bytes.to_vec();
+            for &i in flips {
+                fuzzed[i] ^= 1 << bit;
+            }
+            tried += 1;
+            if let Ok(ledger) = Ledger::from_bytes(&fuzzed) {
+                if ledger.verify_chain().is_ok() {
+                    println!(
+                        "  undetected {label} corruption: bit {bit} of bytes {flips:?}/{}",
+                        bytes.len()
+                    );
+                    undetected += 1;
+                }
             }
         }
     }
-    undetected
+    (tried, undetected)
 }
 
 fn main() {
@@ -178,13 +190,17 @@ fn main() {
         }
     }
 
-    // 3. Sampled single-bit corruption is always detected.
-    let undetected = corruption_sweep(&kernel_bytes, if quick { 97 } else { 13 });
-    if undetected > 0 {
-        fail(
-            &mut violations,
-            &format!("{undetected} single-bit corruptions went undetected"),
-        );
+    // 3. Sampled corruption of either ledger is always detected.
+    let stride = if quick { 97 } else { 13 };
+    for (label, bytes) in [("kernel", &kernel_bytes), ("display", &x_bytes)] {
+        let (tried, undetected) = corruption_sweep(label, bytes, stride);
+        println!("{label} ledger: {tried} sampled corruptions");
+        if undetected > 0 {
+            fail(
+                &mut violations,
+                &format!("{undetected} of {tried} {label} ledger corruptions went undetected"),
+            );
+        }
     }
 
     // 4+5. Replays from boot and from the mid-run snapshot re-land on the

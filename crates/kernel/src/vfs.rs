@@ -428,7 +428,7 @@ mod pack {
     use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
     use overhaul_sim::{impl_pack, impl_pack_newtype};
 
-    use super::{Inode, InodeId, InodeKind, Vfs};
+    use super::{HashMap, Inode, InodeId, InodeKind, Vfs};
 
     impl_pack_newtype!(InodeId, u64);
 
@@ -478,7 +478,27 @@ mod pack {
         owner,
         mode
     });
-    impl_pack!(Vfs { inodes, root, next });
+    // Hand-written (not `impl_pack!`): each inode also stores its own id,
+    // so decode rejects an inode filed under another key rather than
+    // restoring a tree that re-encodes differently.
+    impl Pack for Vfs {
+        fn pack(&self, enc: &mut Enc) {
+            self.inodes.pack(enc);
+            self.root.pack(enc);
+            self.next.pack(enc);
+        }
+        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+            let inodes: HashMap<InodeId, Inode> = Pack::unpack(dec)?;
+            if inodes.iter().any(|(key, inode)| *key != inode.id) {
+                return Err(SnapshotError::BadValue("inode key and id differ"));
+            }
+            Ok(Vfs {
+                inodes,
+                root: Pack::unpack(dec)?,
+                next: Pack::unpack(dec)?,
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -599,6 +619,34 @@ mod tests {
         assert_eq!(
             vfs.list_dir("/tmp").unwrap(),
             vec!["a".to_string(), "b".to_string()]
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_inode_filed_under_another_key() {
+        use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
+
+        let mut vfs = Vfs::new();
+        vfs.create_file("/tmp/a", Uid::ROOT, 0o644).unwrap();
+        let mut enc = Enc::new();
+        vfs.pack(&mut enc);
+        let good = enc.into_bytes();
+        assert!(Vfs::unpack(&mut Dec::new(&good)).is_ok());
+
+        // Re-file the last inode under the next free key: the keys stay
+        // ascending, only the key/id pairing breaks.
+        let last = vfs.inodes.keys().max().copied().unwrap();
+        let mut inodes = vfs.inodes.clone();
+        let inode = inodes.remove(&last).unwrap();
+        inodes.insert(InodeId(vfs.next), inode);
+        let mut enc = Enc::new();
+        inodes.pack(&mut enc);
+        vfs.root.pack(&mut enc);
+        (vfs.next + 1).pack(&mut enc);
+        let bad = enc.into_bytes();
+        assert_eq!(
+            Vfs::unpack(&mut Dec::new(&bad)).map(|_| ()),
+            Err(SnapshotError::BadValue("inode key and id differ"))
         );
     }
 

@@ -12,7 +12,7 @@
 //!   propagations, ptrace/selection hardening — is appended as a typed
 //!   [`LedgerEntry`] carrying an optional structured [`Effect`].
 //! * Each appended entry is sealed into a [`SealedEntry`] with a monotone
-//!   sequence number and a running FNV-1a chain hash over
+//!   sequence number and a running chain hash ([`hash64`]) over
 //!   `(previous chain, seq, entry)`. [`Ledger::verify_chain`] re-derives
 //!   the chain and reports any tamper as a typed [`LedgerError`] — a
 //!   single flipped bit anywhere in the retained history changes some
@@ -38,13 +38,13 @@ use std::fmt;
 
 use crate::audit::{AuditCategory, AuditLog};
 use crate::ids::Pid;
-use crate::snapshot::{fnv1a64, Dec, Enc, Pack, Snapshot, SnapshotError};
+use crate::snapshot::{hash64, Dec, Enc, Pack, Snapshot, SnapshotError};
 use crate::time::Timestamp;
 
-/// Chain hash of the empty history (the FNV-1a 64-bit offset basis, i.e.
-/// `fnv1a64(&[])`), so a freshly created ledger and a verifier agree on
-/// the genesis head without exchanging anything.
-pub const GENESIS_HEAD: u64 = 0xcbf2_9ce4_8422_2325;
+/// Chain hash of the empty history (`hash64(&[])`), so a freshly created
+/// ledger and a verifier agree on the genesis head without exchanging
+/// anything.
+pub const GENESIS_HEAD: u64 = 0xbe8c_ab64_4efd_da51;
 
 /// Which control-plane configuration knob a [`Effect::Config`] entry set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,7 +406,7 @@ impl fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// Seals one entry onto the chain: FNV-1a over the packed
+/// Seals one entry onto the chain: [`hash64`] over the packed
 /// `(prev, seq, entry)`, staged through `scratch` (cleared first) so hot
 /// append loops reuse one buffer instead of allocating per record. The
 /// sealed bytes — and so every chain head — are identical to packing into
@@ -417,7 +417,7 @@ fn seal(scratch: &mut Enc, prev: u64, seq: u64, entry: &LedgerEntry) -> u64 {
     prev.pack(scratch);
     seq.pack(scratch);
     entry.pack(scratch);
-    fnv1a64(scratch.bytes())
+    hash64(scratch.bytes())
 }
 
 /// The append-only hash-chained history.
@@ -642,12 +642,12 @@ impl ControlPlane {
         }
     }
 
-    /// FNV-1a hash of the packed control plane — the byte-identity the
+    /// [`hash64`] of the packed control plane — the byte-identity the
     /// state-as-reduction acceptance check compares.
     pub fn state_hash(&self) -> u64 {
         let mut enc = Enc::new();
         self.pack(&mut enc);
-        fnv1a64(enc.bytes())
+        hash64(enc.bytes())
     }
 
     /// Field-by-field divergence between two control planes, one line per
@@ -1187,6 +1187,69 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_one_and_two_bit_flip_of_a_sealed_entry_moves_its_seal() {
+        // A config entry, a device attach with its path, and a verdict,
+        // each packed as `seal` packs it: (prev, seq, entry).
+        let at = Timestamp::from_millis(621);
+        let mut ledger = Ledger::new();
+        ledger.append(LedgerEntry::silent(
+            at,
+            Effect::Config {
+                key: ConfigKey::DeltaMs,
+                value: 2_000,
+            },
+        ));
+        ledger.append(
+            entry(10, "udev: attached microphone 'mic' at /dev/snd/mic0").with_effect(
+                Effect::DeviceAttached {
+                    path: "/dev/snd/mic0".into(),
+                    device: 7,
+                },
+            ),
+        );
+        ledger.append(LedgerEntry::verdict(
+            at,
+            Pid::from_raw(3),
+            true,
+            0,
+            RuleKind::WithinThreshold,
+        ));
+        let mut prev = ledger.base_head();
+        for sealed in ledger.entries() {
+            let mut enc = Enc::new();
+            prev.pack(&mut enc);
+            sealed.seq.pack(&mut enc);
+            sealed.entry.pack(&mut enc);
+            let packed = enc.into_bytes();
+            assert_eq!(hash64(&packed), sealed.chain, "packed as seal packs");
+
+            let bits = packed.len() * 8;
+            let flipped = |flips: &[usize]| {
+                let mut bytes = packed.clone();
+                for &bit in flips {
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+                hash64(&bytes)
+            };
+            let mut seals = BTreeSet::from([sealed.chain]);
+            for a in 0..bits {
+                seals.insert(flipped(&[a]));
+                for b in a + 1..bits {
+                    seals.insert(flipped(&[a, b]));
+                }
+            }
+            assert_eq!(
+                seals.len(),
+                1 + bits + bits * (bits - 1) / 2,
+                "a 1- or 2-bit flip of the {}-byte seq {} entry collided",
+                packed.len(),
+                sealed.seq
+            );
+            prev = sealed.chain;
         }
     }
 

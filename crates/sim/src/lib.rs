@@ -22,8 +22,8 @@
 //!   input authentication) reports here, and the same seed produces a
 //!   byte-identical trace dump.
 //! * [`snapshot`] — the versioned binary checkpoint codec ([`Pack`],
-//!   [`Snapshot`]) and the canonical FNV-1a [`snapshot::fnv1a64`] state
-//!   hash behind `System::snapshot` / `System::restore` and record/replay.
+//!   [`Snapshot`]) and the canonical [`snapshot::hash64`], the word-wise
+//!   hash behind state hashes, ledger seals and record/replay.
 //! * [`ledger`] — the append-only, hash-chained authoritative history
 //!   ([`Ledger`]): typed entries with structured [`Effect`]s, a sealed
 //!   running chain hash ([`Ledger::verify_chain`]), the audit log as a

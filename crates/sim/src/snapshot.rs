@@ -13,7 +13,8 @@
 //! * [`Pack`] — the codec trait. Implementations exist for primitives,
 //!   strings, `Option`/`Vec`/`VecDeque`/`BTreeMap`/`BTreeSet`, fixed-size
 //!   arrays, and tuples. `HashMap`s are encoded *sorted by key* so the
-//!   encoding never depends on hasher iteration order.
+//!   encoding never depends on hasher iteration order; maps and sets
+//!   decode only strictly ascending keys, the form they encode to.
 //! * `impl_pack!` / `impl_pack_newtype!` — macros deriving field-wise
 //!   `Pack` for structs; invoked inside the defining module so private
 //!   fields stay private.
@@ -21,8 +22,9 @@
 //!   a *state* section (hashed; everything replay must reproduce) and an
 //!   *aux* section (serialized but unhashed; observability state such as the
 //!   trace buffer and the metrics registry).
-//! * [`fnv1a64`] — the canonical hash (FNV-1a, 64-bit), chosen because it is
-//!   trivially stable across platforms and dependency-free.
+//! * [`hash64`] — the canonical 64-bit hash behind state hashes and ledger
+//!   seals: one 128-bit multiply-fold per 8-byte word, stable across
+//!   platforms and dependency-free.
 //! * [`intern`] — re-leaks strings restored from a snapshot into
 //!   `&'static str`, for trace span names whose live form is static.
 //!
@@ -386,6 +388,20 @@ impl<T: Pack> Pack for VecDeque<T> {
     }
 }
 
+/// Decodes a map's entries, accepting only the form maps encode to:
+/// keys strictly ascending. A repeated or out-of-order key is a
+/// [`SnapshotError::BadValue`], never a silent overwrite, so every decoded
+/// map re-encodes to the bytes it came from.
+fn unpack_map_entries<K: Pack + Ord, V: Pack>(
+    dec: &mut Dec<'_>,
+) -> Result<Vec<(K, V)>, SnapshotError> {
+    let entries = Vec::<(K, V)>::unpack(dec)?;
+    if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        return Err(SnapshotError::BadValue("map keys not ascending"));
+    }
+    Ok(entries)
+}
+
 impl<K: Pack + Ord, V: Pack> Pack for BTreeMap<K, V> {
     fn pack(&self, enc: &mut Enc) {
         enc.put_u64(self.len() as u64);
@@ -395,17 +411,7 @@ impl<K: Pack + Ord, V: Pack> Pack for BTreeMap<K, V> {
         }
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let len = usize::unpack(dec)?;
-        if len > dec.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut out = BTreeMap::new();
-        for _ in 0..len {
-            let k = K::unpack(dec)?;
-            let v = V::unpack(dec)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        Ok(unpack_map_entries(dec)?.into_iter().collect())
     }
 }
 
@@ -417,15 +423,11 @@ impl<T: Pack + Ord> Pack for BTreeSet<T> {
         }
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let len = usize::unpack(dec)?;
-        if len > dec.remaining() {
-            return Err(SnapshotError::Truncated);
+        let items = Vec::<T>::unpack(dec)?;
+        if items.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(SnapshotError::BadValue("set items not ascending"));
         }
-        let mut out = BTreeSet::new();
-        for _ in 0..len {
-            out.insert(T::unpack(dec)?);
-        }
-        Ok(out)
+        Ok(items.into_iter().collect())
     }
 }
 
@@ -442,17 +444,7 @@ impl<K: Pack + Ord + Eq + Hash, V: Pack> Pack for HashMap<K, V> {
         }
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let len = usize::unpack(dec)?;
-        if len > dec.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut out = HashMap::with_capacity(len);
-        for _ in 0..len {
-            let k = K::unpack(dec)?;
-            let v = V::unpack(dec)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        Ok(unpack_map_entries(dec)?.into_iter().collect())
     }
 }
 
@@ -620,9 +612,9 @@ impl Snapshot {
         &self.aux
     }
 
-    /// The canonical hash of the state section (FNV-1a, 64-bit).
+    /// The canonical hash ([`hash64`]) of the state section.
     pub fn state_hash(&self) -> u64 {
-        fnv1a64(&self.state)
+        hash64(&self.state)
     }
 
     /// Total serialized size, including the header and length prefixes.
@@ -672,16 +664,47 @@ impl Snapshot {
     }
 }
 
-/// FNV-1a, 64-bit: the canonical state hash. Dependency-free and stable
-/// across platforms and runs.
+/// The multiplier of [`hash64`]'s fold: ⌊2^64 / φ⌋ for the golden ratio
+/// φ, which is odd.
+const HASH_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One absorb step of [`hash64`]: `(h ^ w)·K` as a full 128-bit product,
+/// its high half folded onto its low half.
+#[inline(always)]
+fn fold(h: u64, w: u64) -> u64 {
+    let product = u128::from(h ^ w) * u128::from(HASH_K);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The canonical 64-bit hash: ledger seals, chain heads, state hashes and
+/// the fleet's sketch hash all use it. Stable across platforms and runs.
+///
+/// The state starts at the input length, XORed with `K` so that the empty
+/// input does not hash to 0 (the product's fixed point). Each 8-byte
+/// little-endian word `w` is absorbed as `h = lo ^ hi` of the 128-bit
+/// product `(h ^ w)·K`; a short tail word is zero-padded, and one more
+/// fold of `h` alone finishes the hash.
+///
+/// The high half carries every bit of `h ^ w` back into the low bits, so
+/// a flipped input bit spreads through the whole state before the next
+/// word arrives, and a flip in a later word cancels it only by chance. A
+/// plain wrapping `(h ^ w)·K` keeps a bit-63 flip as a lone bit-63 flip,
+/// which the same bit of the next word cancels on every input.
 #[inline]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+pub fn hash64(bytes: &[u8]) -> u64 {
+    let mut h = HASH_K ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word: [u8; 8] = word.try_into().expect("chunks_exact yields 8 bytes");
+        h = fold(h, u64::from_le_bytes(word));
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = fold(h, u64::from_le_bytes(padded));
+    }
+    fold(h, 0)
 }
 
 /// The intern table backing [`intern`]. Bounded in practice: only trace
@@ -774,6 +797,40 @@ mod tests {
     }
 
     #[test]
+    fn maps_and_sets_reject_repeated_or_descending_keys() {
+        // Entries encoded as written: a count, then each key (and value).
+        fn encoded(keys: &[u64], with_values: bool) -> Vec<u8> {
+            let mut enc = Enc::new();
+            enc.put_u64(keys.len() as u64);
+            for &k in keys {
+                k.pack(&mut enc);
+                if with_values {
+                    k.pack(&mut enc);
+                }
+            }
+            enc.into_bytes()
+        }
+        fn decode<T: Pack>(bytes: &[u8]) -> Result<(), SnapshotError> {
+            T::unpack(&mut Dec::new(bytes)).map(drop)
+        }
+        let map_err = Err(SnapshotError::BadValue("map keys not ascending"));
+        let set_err = Err(SnapshotError::BadValue("set items not ascending"));
+        for keys in [[4u64, 4], [5, 4]] {
+            let map = encoded(&keys, true);
+            assert_eq!(decode::<BTreeMap<u64, u64>>(&map), map_err, "{keys:?}");
+            assert_eq!(decode::<HashMap<u64, u64>>(&map), map_err, "{keys:?}");
+            let set = encoded(&keys, false);
+            assert_eq!(decode::<BTreeSet<u64>>(&set), set_err, "{keys:?}");
+        }
+        assert_eq!(
+            decode::<BTreeMap<u64, u64>>(&encoded(&[4, 5], true)),
+            Ok(())
+        );
+        assert_eq!(decode::<HashMap<u64, u64>>(&encoded(&[4, 5], true)), Ok(()));
+        assert_eq!(decode::<BTreeSet<u64>>(&encoded(&[4, 5], false)), Ok(()));
+    }
+
+    #[test]
     fn truncated_input_is_an_error_not_a_panic() {
         let mut enc = Enc::new();
         vec![1u64; 4].pack(&mut enc);
@@ -857,11 +914,28 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn hash64_matches_pinned_vectors() {
+        // Inputs 0..n as bytes, for lengths around the word boundaries and
+        // the 44 bytes of a sealed verdict. The values come from an
+        // independent arbitrary-precision implementation of the same
+        // definition.
+        let pinned: [(u8, u64); 7] = [
+            (0, 0xbe8c_ab64_4efd_da51),
+            (1, 0x5675_2ffa_865a_6efb),
+            (7, 0xc064_46f3_de66_b9d5),
+            (8, 0xe200_e66f_1602_6bc2),
+            (9, 0x11dc_0843_0f35_8a04),
+            (16, 0x5009_4683_10b4_0458),
+            (44, 0x8cdb_303f_709b_e604),
+        ];
+        for (len, expected) in pinned {
+            let input: Vec<u8> = (0..len).collect();
+            assert_eq!(hash64(&input), expected, "{len}-byte input");
+        }
+        assert_eq!(crate::ledger::GENESIS_HEAD, hash64(&[]));
+        // Zero padding never aliases: the length seeds the state.
+        let zeros: BTreeSet<u64> = (0..=16).map(|len| hash64(&vec![0; len])).collect();
+        assert_eq!(zeros.len(), 17, "zero-filled inputs of lengths 0..=16");
     }
 
     #[test]

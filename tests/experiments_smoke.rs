@@ -11,7 +11,7 @@ use overhaul_core::{
     replay, replay_from, timeline, Event, EventLog, OverhaulConfig, Recorder, System,
 };
 use overhaul_kernel::device::DeviceClass;
-use overhaul_sim::snapshot::fnv1a64;
+use overhaul_sim::snapshot::hash64;
 use overhaul_sim::SimDuration;
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, Reply, Request, XEvent};
@@ -225,12 +225,12 @@ fn audit_timeline_example_output_is_pinned() {
         (
             machine.state_hash(),
             machine.ledger_head(),
-            fnv1a64(machine.metrics().as_bytes()),
+            hash64(machine.metrics().as_bytes()),
         ),
         (
-            0x78f0_8db9_d06a_a91e,
-            0x659d_616b_7903_a1b6,
-            0xb0bf_94b4_00e2_71f7
+            0x02ec_751e_f26f_1028,
+            0xcb79_e7f9_9813_b7b6,
+            0x2723_a1a9_6cea_21dd
         ),
         "state hash, ledger head, metrics page"
     );
