@@ -8,6 +8,7 @@
 //! into a single fleet registry with shard/failure counters on top.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -179,7 +180,10 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
 
     let next = AtomicUsize::new(0);
     let failures_seen = AtomicUsize::new(0);
-    let workers_live = AtomicUsize::new(config.worker_count());
+    // Each worker holds a sender and nothing is ever sent: the channel
+    // disconnects when the last worker exits (or unwinds), which wakes
+    // the supervisor at once instead of after its next poll.
+    let (worker_alive, workers_done) = mpsc::channel::<()>();
     let degraded = AtomicBool::new(false);
     let reports: Mutex<Vec<ShardReport>> = Mutex::new(Vec::with_capacity(config.shards));
 
@@ -189,7 +193,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
             let beats = &beats;
             let next = &next;
             let failures_seen = &failures_seen;
-            let workers_live = &workers_live;
+            let worker_alive = worker_alive.clone();
             let degraded = &degraded;
             let reports = &reports;
             std::thread::Builder::new()
@@ -197,6 +201,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
                 // quiet panic hook: contained shard panics do not spew.
                 .name(format!("overhaul-shard-worker-{w}"))
                 .spawn_scoped(s, move || {
+                    let _alive = worker_alive;
                     loop {
                         if failures_seen.load(Ordering::Relaxed) >= config.failure_budget {
                             degraded.store(true, Ordering::Relaxed);
@@ -212,10 +217,10 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
                         }
                         reports.lock().unwrap().push(report);
                     }
-                    workers_live.fetch_sub(1, Ordering::Relaxed);
                 })
                 .expect("spawn fleet worker");
         }
+        drop(worker_alive);
 
         // The calling thread is the wall-clock supervisor: any active
         // shard whose heartbeat does not move for `stall_timeout` gets a
@@ -224,8 +229,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
             .iter()
             .map(|b| (b.progress(), Instant::now()))
             .collect();
-        while workers_live.load(Ordering::Relaxed) > 0 {
-            std::thread::sleep(config.stall_poll);
+        while workers_done.recv_timeout(config.stall_poll) != Err(RecvTimeoutError::Disconnected) {
             let now = Instant::now();
             for (i, beat) in beats.iter().enumerate() {
                 if !beat.is_active() {

@@ -15,6 +15,9 @@
 //!   arrays, and tuples. `HashMap`s are encoded *sorted by key* so the
 //!   encoding never depends on hasher iteration order; maps and sets
 //!   decode only strictly ascending keys, the form they encode to.
+//!   Sequences encode their items through [`Pack::pack_all`] /
+//!   [`Pack::unpack_all`], which `u8` overrides, so byte buffers are
+//!   copied whole.
 //! * `impl_pack!` / `impl_pack_newtype!` — macros deriving field-wise
 //!   `Pack` for structs; invoked inside the defining module so private
 //!   fields stay private.
@@ -227,14 +230,47 @@ pub trait Pack: Sized {
     ///
     /// Any [`SnapshotError`] raised by malformed or truncated input.
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError>;
+
+    /// Appends the encodings of `items` in order, with no count: the body
+    /// of a `Vec`, `VecDeque` or array. The default packs each item; a
+    /// type whose sequence encodes to the items' raw bytes overrides it
+    /// with one copy, writing the same bytes.
+    fn pack_all(items: &[Self], enc: &mut Enc) {
+        for item in items {
+            item.pack(enc);
+        }
+    }
+
+    /// Decodes `len` items written by [`Pack::pack_all`]. The caller
+    /// bounds `len` before calling, since the default reserves room for
+    /// `len` items up front.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`] raised by malformed or truncated input.
+    fn unpack_all(dec: &mut Dec<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(Self::unpack(dec)?);
+        }
+        Ok(out)
+    }
 }
 
+/// Byte sequences (window pixels, file data, IPC buffers) copy whole: a
+/// byte encodes as itself, so the sequence body is the bytes verbatim.
 impl Pack for u8 {
     fn pack(&self, enc: &mut Enc) {
         enc.put_u8(*self);
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         dec.take_u8()
+    }
+    fn pack_all(items: &[u8], enc: &mut Enc) {
+        enc.put_slice(items);
+    }
+    fn unpack_all(dec: &mut Dec<'_>, len: usize) -> Result<Vec<u8>, SnapshotError> {
+        Ok(dec.take_slice(len)?.to_vec())
     }
 }
 
@@ -357,9 +393,7 @@ impl<T: Pack> Pack for Option<T> {
 impl<T: Pack> Pack for Vec<T> {
     fn pack(&self, enc: &mut Enc) {
         enc.put_u64(self.len() as u64);
-        for item in self {
-            item.pack(enc);
-        }
+        T::pack_all(self, enc);
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let len = usize::unpack(dec)?;
@@ -368,20 +402,16 @@ impl<T: Pack> Pack for Vec<T> {
         if len > dec.remaining() {
             return Err(SnapshotError::Truncated);
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::unpack(dec)?);
-        }
-        Ok(out)
+        T::unpack_all(dec, len)
     }
 }
 
 impl<T: Pack> Pack for VecDeque<T> {
     fn pack(&self, enc: &mut Enc) {
         enc.put_u64(self.len() as u64);
-        for item in self {
-            item.pack(enc);
-        }
+        let (front, back) = self.as_slices();
+        T::pack_all(front, enc);
+        T::pack_all(back, enc);
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         Ok(Vec::<T>::unpack(dec)?.into())
@@ -450,16 +480,11 @@ impl<K: Pack + Ord + Eq + Hash, V: Pack> Pack for HashMap<K, V> {
 
 impl<T: Pack, const N: usize> Pack for [T; N] {
     fn pack(&self, enc: &mut Enc) {
-        for item in self {
-            item.pack(enc);
-        }
+        T::pack_all(self, enc);
     }
     fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::unpack(dec)?);
-        }
-        out.try_into()
+        T::unpack_all(dec, N)?
+            .try_into()
             .map_err(|_| SnapshotError::BadValue("array length"))
     }
 }
@@ -830,15 +855,97 @@ mod tests {
         assert_eq!(decode::<BTreeSet<u64>>(&encoded(&[4, 5], false)), Ok(()));
     }
 
+    /// `len` bytes that are not all equal.
+    fn byte_run(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    /// A deque whose ring buffer wrapped: both halves of `as_slices` are
+    /// non-empty.
+    fn wrapped_deque() -> VecDeque<u8> {
+        let mut deque = VecDeque::from(byte_run(5));
+        deque.push_front(0xfe);
+        deque.push_front(0xfd);
+        let (front, back) = deque.as_slices();
+        assert!(!front.is_empty() && !back.is_empty(), "{deque:?}");
+        deque
+    }
+
+    /// Writes `bytes` as the per-element sequence codec does: a `u64`
+    /// count, then one `put_u8` per byte.
+    fn put_bytes_one_by_one(enc: &mut Enc, bytes: &[u8]) {
+        enc.put_u64(bytes.len() as u64);
+        for &b in bytes {
+            enc.put_u8(b);
+        }
+    }
+
+    fn assert_layout<T: Pack + PartialEq + std::fmt::Debug>(value: T, reference: &Enc) {
+        let mut enc = Enc::new();
+        value.pack(&mut enc);
+        assert_eq!(enc.bytes(), reference.bytes(), "{value:?}");
+        roundtrip(value);
+    }
+
+    #[test]
+    fn byte_sequences_keep_the_per_byte_layout() {
+        for len in [0, 1, 7, 8, 9, 4_099] {
+            let mut reference = Enc::new();
+            put_bytes_one_by_one(&mut reference, &byte_run(len));
+            assert_layout(byte_run(len), &reference);
+        }
+
+        let deque = wrapped_deque();
+        let mut reference = Enc::new();
+        put_bytes_one_by_one(&mut reference, &deque.iter().copied().collect::<Vec<u8>>());
+        assert_layout(deque, &reference);
+
+        // Arrays carry no count.
+        assert_layout([0u8; 0], &Enc::new());
+        let mut reference = Enc::new();
+        for b in [9u8, 8, 7, 6, 5] {
+            reference.put_u8(b);
+        }
+        assert_layout([9u8, 8, 7, 6, 5], &reference);
+
+        let mut reference = Enc::new();
+        reference.put_u8(1);
+        put_bytes_one_by_one(&mut reference, &byte_run(9));
+        assert_layout(Some(byte_run(9)), &reference);
+
+        let nested = vec![byte_run(0), byte_run(3), byte_run(9)];
+        let mut reference = Enc::new();
+        reference.put_u64(3);
+        for bytes in &nested {
+            put_bytes_one_by_one(&mut reference, bytes);
+        }
+        assert_layout(nested, &reference);
+
+        let map = BTreeMap::from([(1u32, byte_run(2)), (7, byte_run(0)), (40, byte_run(9))]);
+        let mut reference = Enc::new();
+        reference.put_u64(3);
+        for (key, bytes) in &map {
+            reference.put_u32(*key);
+            put_bytes_one_by_one(&mut reference, bytes);
+        }
+        assert_layout(map, &reference);
+    }
+
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
-        let mut enc = Enc::new();
-        vec![1u64; 4].pack(&mut enc);
-        let bytes = enc.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut dec = Dec::new(&bytes[..cut]);
-            assert!(Vec::<u64>::unpack(&mut dec).is_err(), "cut at {cut}");
+        fn assert_every_cut_fails<T: Pack>(value: T) {
+            let mut enc = Enc::new();
+            value.pack(&mut enc);
+            let bytes = enc.into_bytes();
+            let name = std::any::type_name::<T>();
+            for cut in 0..bytes.len() {
+                let mut dec = Dec::new(&bytes[..cut]);
+                assert!(T::unpack(&mut dec).is_err(), "{name} cut at {cut}");
+            }
         }
+        assert_every_cut_fails(vec![1u64; 4]);
+        assert_every_cut_fails(byte_run(13));
+        assert_every_cut_fails(wrapped_deque());
     }
 
     #[test]

@@ -425,6 +425,11 @@ mod pack {
                 if id.as_raw() == 0 || id.as_raw() > next || tree.slot_of(id).is_some() {
                     return Err(SnapshotError::BadValue("window id"));
                 }
+                // One pixel per unit of area, as `create` and `put_image`
+                // keep it: root capture indexes the pixels by the rect.
+                if window.pixels.len() as u64 != window.rect.area() {
+                    return Err(SnapshotError::BadValue("window pixel count"));
+                }
                 tree.stacking.push(id);
                 tree.install(window);
             }

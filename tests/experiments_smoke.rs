@@ -236,6 +236,65 @@ fn audit_timeline_example_output_is_pinned() {
     );
 }
 
+/// Pins the state section of a machine whose byte buffers are not their
+/// initial fill: pixels drawn with `PutImage`, pixels copied across
+/// clients with `CopyArea`, a window property and unread pipe bytes. A
+/// change to how any byte sequence lands in the state section fails here.
+#[test]
+fn drawn_windows_and_pipe_state_section_is_pinned() {
+    let mut machine = System::protected();
+    let painter = machine
+        .launch_gui_app("/usr/bin/painter", Rect::new(0, 0, 40, 30))
+        .expect("launch painter");
+    let viewer = machine
+        .launch_gui_app("/usr/bin/viewer", Rect::new(60, 20, 64, 48))
+        .expect("launch viewer");
+    machine.settle();
+    let drawing: Vec<u8> = (0..40 * 30).map(|i| (i * 7 % 251) as u8).collect();
+    machine
+        .x_request(
+            painter.client,
+            Request::PutImage {
+                window: painter.window,
+                data: drawing,
+            },
+        )
+        .expect("put image");
+    machine.click_window(viewer.window);
+    machine.advance(SimDuration::from_millis(50));
+    machine
+        .x_request(
+            viewer.client,
+            Request::CopyArea {
+                src: Some(painter.window),
+                dst: viewer.window,
+            },
+        )
+        .expect("copy area after a click");
+    machine
+        .x_request(
+            viewer.client,
+            Request::ChangeProperty {
+                window: viewer.window,
+                property: Atom::new("WM_NAME"),
+                data: b"viewer: copied".to_vec(),
+            },
+        )
+        .expect("change property");
+    let (_read, write) = machine.kernel_mut().sys_pipe(painter.pid).expect("pipe");
+    machine
+        .kernel_mut()
+        .sys_write(painter.pid, write, b"unread pipe bytes")
+        .expect("pipe write");
+
+    let snapshot = machine.snapshot();
+    assert_eq!(
+        (snapshot.state().len(), hash64(snapshot.state())),
+        (7_871, 0xcfc5_3d91_4ea3_58b6),
+        "state section length and hash"
+    );
+}
+
 const AUDIT_TIMELINE_GOLDEN: &str = "\
 [t+0ms] kernel info: udev: attached microphone 'built-in mic' at /dev/snd/mic0
 [t+0ms] kernel info: udev: attached camera 'webcam' at /dev/video0

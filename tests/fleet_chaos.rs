@@ -146,6 +146,32 @@ fn fleet_supervisor_cancels_spinning_shards() {
     );
 }
 
+/// The supervisor wakes when the last worker exits rather than at its
+/// next poll: with a 30 s poll interval the fleet still ends with its
+/// shards.
+#[test]
+fn fleet_returns_when_its_last_worker_exits() {
+    let config = FleetConfig {
+        master_seed: 0x3a7e,
+        shards: 2,
+        workers: 2,
+        workload: FleetWorkload {
+            steps: 20,
+            ..FleetWorkload::default()
+        },
+        shrink: false,
+        stall_poll: Duration::from_secs(30),
+        ..FleetConfig::default()
+    };
+    let report = run_fleet(&config);
+    assert_eq!(report.ok + report.failed, 2);
+    assert!(
+        report.wall < Duration::from_secs(10),
+        "fleet took {:?} with a 30 s poll",
+        report.wall
+    );
+}
+
 /// Graceful degradation: a hostile fleet exhausts its failure budget,
 /// stops claiming shards, and still reports coherently.
 #[test]

@@ -12,14 +12,15 @@ use std::panic::{self, AssertUnwindSafe};
 use overhaul_core::{Event, EventLog, OverhaulConfig, Recorder, System};
 use overhaul_fleet::FailureTriple;
 use overhaul_fleet::{run_shard, FleetWorkload, ShardBeat, ShardOutcome, ShardPlan};
-use overhaul_sim::{SimDuration, SimRng, Snapshot};
+use overhaul_sim::{Enc, Pack, SimDuration, SimRng, Snapshot, SnapshotError};
+use overhaul_xserver::geometry::Rect;
 
 fn recorded_machine() -> (System, EventLog, Snapshot) {
     let mut rec = Recorder::new(OverhaulConfig::protected());
     let gui = rec
         .apply(Event::LaunchGuiApp {
             exe: "/usr/bin/editor".into(),
-            rect: overhaul_xserver::geometry::Rect::new(5, 5, 320, 240),
+            rect: Rect::new(5, 5, 320, 240),
         })
         .gui()
         .expect("launch");
@@ -173,4 +174,41 @@ fn corrupt_failure_triples_error_cleanly_and_clean_ones_survive() {
         }))
         .expect("FailureTriple::from_bytes panicked on corrupt input");
     }
+}
+
+/// Root capture indexes a window's pixels by its rect, so a state section
+/// whose packed rect grew while its pixels did not must fail to restore.
+/// Widening 40×30 to 80×30 keeps the byte length; accepted, it would make
+/// the next root `GetImage` index past the pixels.
+#[test]
+fn a_window_rect_wider_than_its_pixels_is_rejected() {
+    let mut system = System::new(OverhaulConfig::protected());
+    system
+        .launch_gui_app("/usr/bin/editor", Rect::new(123, 45, 40, 30))
+        .expect("launch");
+    system.settle();
+    let snap = system.snapshot();
+    let packed = |width: u32| {
+        let mut enc = Enc::new();
+        Rect::new(123, 45, width, 30).pack(&mut enc);
+        enc.into_bytes()
+    };
+    let (narrow, wide) = (packed(40), packed(80));
+    let at: Vec<usize> = snap
+        .state()
+        .windows(narrow.len())
+        .enumerate()
+        .filter(|(_, bytes)| *bytes == narrow.as_slice())
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "the window's rect is packed once");
+    let mut state = snap.state().to_vec();
+    state[at[0]..at[0] + wide.len()].copy_from_slice(&wide);
+    let widened = Snapshot::new(state, snap.aux().to_vec());
+    assert_eq!(widened.state().len(), snap.state().len());
+    assert_eq!(
+        System::from_snapshot(&widened).err(),
+        Some(SnapshotError::BadValue("window pixel count"))
+    );
+    assert!(System::from_snapshot(&snap).is_ok());
 }
