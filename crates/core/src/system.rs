@@ -460,8 +460,14 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors; X errors cannot occur for a fresh client.
+    /// [`Errno::Einval`] before anything is spawned if `rect` is not
+    /// [`Rect::in_x11_range`], which `CreateWindow` would refuse; otherwise
+    /// propagates kernel errors, and X errors cannot occur for a fresh
+    /// client.
     pub fn launch_gui_app(&mut self, exe: &str, rect: Rect) -> SysResult<Gui> {
+        if !rect.in_x11_range() {
+            return Err(Errno::Einval);
+        }
         let pid = self.spawn_process(None, exe)?;
         let client = self.connect_x(pid);
         let window = match self.x_request(client, Request::CreateWindow { rect }) {

@@ -48,7 +48,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OVSN";
 
 /// Current snapshot format version. Bumped on any encoding change;
 /// [`Snapshot::from_bytes`] rejects versions it does not understand.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why decoding a snapshot failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

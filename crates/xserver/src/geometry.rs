@@ -21,6 +21,10 @@ impl Point {
     }
 }
 
+/// The longest side of a drawable: Xorg refuses a width or height above
+/// it.
+const MAX_SIDE: u32 = 32_767;
+
 /// An axis-aligned rectangle (origin + size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
@@ -58,6 +62,17 @@ impl Rect {
     /// Area in pixels.
     pub fn area(&self) -> u64 {
         self.width as u64 * self.height as u64
+    }
+
+    /// Whether the rectangle is valid window geometry: `x` and `y` fit
+    /// X11's INT16 coordinates and neither side exceeds 32 767, Xorg's
+    /// limit on a drawable. Edge arithmetic on such a rectangle cannot
+    /// overflow `i32`, and its area stays under 2^30 pixels.
+    pub fn in_x11_range(&self) -> bool {
+        i16::try_from(self.x).is_ok()
+            && i16::try_from(self.y).is_ok()
+            && self.width <= MAX_SIDE
+            && self.height <= MAX_SIDE
     }
 
     /// Whether `p` lies inside the rectangle.
@@ -191,6 +206,16 @@ mod tests {
         let b = Rect::new(2, 0, 5, 5);
         let expected = (25.0 + 25.0 - 15.0) / 100.0;
         assert!((r.coverage_by(&[a, b]) - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn x11_range_bounds_origin_and_sides() {
+        assert!(Rect::new(-32_768, 32_767, MAX_SIDE, MAX_SIDE).in_x11_range());
+        assert!(Rect::new(0, 0, 0, 0).in_x11_range());
+        assert!(!Rect::new(-32_769, 0, 10, 10).in_x11_range());
+        assert!(!Rect::new(0, 32_768, 10, 10).in_x11_range());
+        assert!(!Rect::new(0, 0, MAX_SIDE + 1, 10).in_x11_range());
+        assert!(!Rect::new(0, 0, 10, u32::MAX).in_x11_range());
     }
 
     #[test]

@@ -533,6 +533,9 @@ impl XServer {
         let now = self.clock.now();
         match request {
             Request::CreateWindow { rect } => {
+                if !rect.in_x11_range() {
+                    return Err(XError::BadValue);
+                }
                 let id = self.windows.create(client, rect);
                 Ok(Reply::Window(id))
             }
@@ -684,7 +687,7 @@ impl XServer {
             }
         }
         let pixels = match window {
-            Some(w) => self.windows.get(w)?.pixels().to_vec(),
+            Some(w) => self.windows.get(w)?.pixels().into_owned(),
             None => self.composite_root(),
         };
         self.cost.framebuffer_copy_ns += pixels.len() as u64 * work::CAPTURE_NS_PER_PIXEL;
@@ -731,10 +734,10 @@ impl XServer {
             }
         }
         let data = match src {
-            Some(w) => self.windows.get(w)?.pixels().to_vec(),
+            Some(w) => self.windows.get(w)?.pixels().into_owned(),
             None => self.composite_root(),
         };
-        let mut merged = self.windows.get(dst)?.pixels().to_vec();
+        let mut merged = self.windows.get(dst)?.pixels().into_owned();
         let n = merged.len().min(data.len());
         merged[..n].copy_from_slice(&data[..n]);
         self.windows.put_image(dst, merged)?;
@@ -756,14 +759,15 @@ impl XServer {
                 continue;
             };
             let rect = window.rect();
+            let cols = (clip.x - rect.x) as usize..(clip.right() - rect.x) as usize;
             for row in clip.y..clip.bottom() {
-                for col in clip.x..clip.right() {
-                    let src_index =
-                        ((row - rect.y) as usize) * rect.width as usize + (col - rect.x) as usize;
-                    let dst_index = ((row - screen.y) as usize) * screen.width as usize
-                        + (col - screen.x) as usize;
-                    root[dst_index] = window.pixels()[src_index];
-                }
+                let start = ((row - screen.y) as usize) * screen.width as usize
+                    + (clip.x - screen.x) as usize;
+                window.copy_row(
+                    (row - rect.y) as usize,
+                    cols.clone(),
+                    &mut root[start..start + cols.len()],
+                );
             }
         }
         root

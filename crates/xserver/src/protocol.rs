@@ -214,7 +214,8 @@ pub enum XEvent {
 /// A request from a client to the X server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Creates an (unmapped) window.
+    /// Creates an (unmapped) window; `BadValue` unless the geometry is
+    /// [`Rect::in_x11_range`].
     CreateWindow {
         /// Geometry.
         rect: Rect,

@@ -1050,6 +1050,35 @@ fn request_from_unknown_client_is_bad_client() {
 }
 
 #[test]
+fn create_window_outside_the_x11_range_is_bad_value() {
+    let mut rig = Rig::new();
+    let c = rig.client(1);
+    for rect in [
+        Rect::new(0, 0, u32::MAX, u32::MAX),
+        Rect::new(0, 0, 32_768, 1),
+        Rect::new(i32::MAX - 10, 0, 40, 30),
+        Rect::new(0, -32_769, 40, 30),
+    ] {
+        assert_eq!(
+            rig.x
+                .request(c, Request::CreateWindow { rect }, &mut MockLink::granting()),
+            Err(XError::BadValue),
+            "{rect:?}"
+        );
+    }
+    assert!(rig.x.windows().is_empty());
+    let edge = Rect::new(-32_768, 32_767, 32_767, 32_767);
+    assert!(matches!(
+        rig.x.request(
+            c,
+            Request::CreateWindow { rect: edge },
+            &mut MockLink::granting()
+        ),
+        Ok(Reply::Window(_))
+    ));
+}
+
+#[test]
 fn foreign_window_management_is_bad_match() {
     let mut rig = Rig::new();
     let a = rig.client(1);

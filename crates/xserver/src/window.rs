@@ -7,8 +7,10 @@
 //! time threshold" (§IV-A). A window counts as visible when it is mapped
 //! and at most half of its area is occluded by windows stacked above it.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use overhaul_sim::{Slab, SlotId, Timestamp};
 
@@ -49,7 +51,9 @@ pub struct Window {
     rect: Rect,
     mapped: bool,
     visible_since: Option<Timestamp>,
-    pixels: Vec<u8>,
+    /// The drawn contents; `None` until the first `PutImage` or
+    /// `CopyArea` into the window, which until then shows its fill.
+    pixels: Option<Vec<u8>>,
     properties: BTreeMap<Atom, Vec<u8>>,
 }
 
@@ -79,9 +83,31 @@ impl Window {
         self.visible_since
     }
 
-    /// Pixel contents (row-major, 1 byte per pixel).
-    pub fn pixels(&self) -> &[u8] {
-        &self.pixels
+    /// Pixel contents (row-major, 1 byte per pixel): the drawn bytes, or
+    /// the window's fill repeated over its area if it was never drawn.
+    pub fn pixels(&self) -> Cow<'_, [u8]> {
+        match &self.pixels {
+            Some(drawn) => Cow::Borrowed(drawn),
+            None => Cow::Owned(vec![self.fill(); self.rect.area() as usize]),
+        }
+    }
+
+    /// Writes columns `cols` of row `row` (window coordinates) into `dst`,
+    /// which is `cols.len()` long, without building the whole window.
+    pub(crate) fn copy_row(&self, row: usize, cols: Range<usize>, dst: &mut [u8]) {
+        match &self.pixels {
+            Some(drawn) => {
+                let start = row * self.rect.width as usize;
+                dst.copy_from_slice(&drawn[start + cols.start..start + cols.end]);
+            }
+            None => dst.fill(self.fill()),
+        }
+    }
+
+    /// What an undrawn window shows: a per-window pixel value, stand-in
+    /// for application rendering.
+    fn fill(&self) -> u8 {
+        (self.id.as_raw() % 251) as u8
     }
 
     /// A property's value.
@@ -170,19 +196,18 @@ impl WindowTree {
             .filter_map(|slot| self.arena.get(*slot))
     }
 
-    /// Creates an unmapped window for `owner`, initially filled with a
-    /// per-window pixel pattern (stand-in for application rendering).
+    /// Creates an unmapped, undrawn window for `owner`. It stores no
+    /// pixels until something is drawn into it.
     pub fn create(&mut self, owner: ClientId, rect: Rect) -> WindowId {
         self.next += 1;
         let id = WindowId(self.next);
-        let fill = (id.as_raw() % 251) as u8;
         self.install(Window {
             id,
             owner,
             rect,
             mapped: false,
             visible_since: None,
-            pixels: vec![fill; rect.area() as usize],
+            pixels: None,
             properties: BTreeMap::new(),
         });
         self.stacking.push(id);
@@ -265,7 +290,7 @@ impl WindowTree {
         if data.len() != window.rect.area() as usize {
             return Err(XError::BadValue);
         }
-        window.pixels = data;
+        window.pixels = Some(data);
         Ok(())
     }
 
@@ -385,7 +410,8 @@ mod pack {
     //! windows in bottom-to-top stacking order, then the id counter
     //! `next`. The encoding order is the stacking order and each window
     //! carries its own id, so every id is written once; the slab, the
-    //! dense id index and the stacking list are rebuilt on decode.
+    //! dense id index and the stacking list are rebuilt on decode. An
+    //! undrawn window's pixels pack as the `None` tag alone.
 
     use overhaul_sim::{impl_pack, impl_pack_newtype, Dec, Enc, Pack, SnapshotError};
 
@@ -425,9 +451,18 @@ mod pack {
                 if id.as_raw() == 0 || id.as_raw() > next || tree.slot_of(id).is_some() {
                     return Err(SnapshotError::BadValue("window id"));
                 }
-                // One pixel per unit of area, as `create` and `put_image`
-                // keep it: root capture indexes the pixels by the rect.
-                if window.pixels.len() as u64 != window.rect.area() {
+                // Only geometry `CreateWindow` accepts: an undrawn window
+                // stores no pixels, so nothing else bounds its area.
+                if !window.rect.in_x11_range() {
+                    return Err(SnapshotError::BadValue("window rect"));
+                }
+                // One drawn pixel per unit of area, as `put_image` keeps
+                // it: root capture indexes the pixels by the rect.
+                if window
+                    .pixels
+                    .as_ref()
+                    .is_some_and(|drawn| drawn.len() as u64 != window.rect.area())
+                {
                     return Err(SnapshotError::BadValue("window pixel count"));
                 }
                 tree.stacking.push(id);
@@ -543,7 +578,25 @@ mod tests {
         let w = tree.create(client(1), Rect::new(0, 0, 2, 2));
         assert_eq!(tree.put_image(w, vec![1, 2, 3]), Err(XError::BadValue));
         tree.put_image(w, vec![1, 2, 3, 4]).unwrap();
-        assert_eq!(tree.get(w).unwrap().pixels(), &[1, 2, 3, 4]);
+        assert_eq!(*tree.get(w).unwrap().pixels(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn an_undrawn_window_stores_nothing_and_shows_its_fill() {
+        let mut tree = WindowTree::new();
+        let w = tree.create(client(1), Rect::new(0, 0, 3, 2));
+        let mut row = [0; 2];
+        let window = tree.get(w).unwrap();
+        assert_eq!(window.pixels, None);
+        assert!(matches!(window.pixels(), Cow::Owned(p) if p == [1; 6]));
+        window.copy_row(1, 1..3, &mut row);
+        assert_eq!(row, [1, 1]);
+
+        tree.put_image(w, vec![0, 1, 2, 3, 4, 5]).unwrap();
+        let window = tree.get(w).unwrap();
+        assert!(matches!(window.pixels(), Cow::Borrowed(p) if p == [0, 1, 2, 3, 4, 5]));
+        window.copy_row(1, 1..3, &mut row);
+        assert_eq!(row, [4, 5]);
     }
 
     #[test]

@@ -228,7 +228,7 @@ fn audit_timeline_example_output_is_pinned() {
             hash64(machine.metrics().as_bytes()),
         ),
         (
-            0x02ec_751e_f26f_1028,
+            0x90e8_32cd_5257_3bb8,
             0xcb79_e7f9_9813_b7b6,
             0x2723_a1a9_6cea_21dd
         ),
@@ -290,8 +290,92 @@ fn drawn_windows_and_pipe_state_section_is_pinned() {
     let snapshot = machine.snapshot();
     assert_eq!(
         (snapshot.state().len(), hash64(snapshot.state())),
-        (7_871, 0xcfc5_3d91_4ea3_58b6),
+        (7_873, 0x3db3_c3d1_e806_6762),
         "state section length and hash"
+    );
+}
+
+/// Pins what clients see of three overlapping mapped windows: `plain` is
+/// never drawn, `painter` is drawn with `PutImage`, and `viewer` is the
+/// target of a `CopyArea` whose source is `plain`. `plain` crosses the top
+/// of the screen and `painter` its left edge, so the root capture clips
+/// both. A change to how window pixels are stored must not change a reply
+/// byte, so the window capture, the root capture and the copied pixels are
+/// pinned as hashes.
+#[test]
+fn captured_and_copied_pixels_are_pinned() {
+    let mut machine = System::new(small_screen(OverhaulConfig::protected()));
+    let plain = machine
+        .launch_gui_app("/usr/bin/plain", Rect::new(10, -6, 48, 36))
+        .expect("launch plain");
+    let painter = machine
+        .launch_gui_app("/usr/bin/painter", Rect::new(-20, 20, 80, 40))
+        .expect("launch painter");
+    let viewer = machine
+        .launch_gui_app("/usr/bin/viewer", Rect::new(50, 40, 64, 48))
+        .expect("launch viewer");
+    machine.settle();
+    let drawing: Vec<u8> = (0..80 * 40).map(|i| (i * 13 % 251) as u8).collect();
+    machine
+        .x_request(
+            painter.client,
+            Request::PutImage {
+                window: painter.window,
+                data: drawing,
+            },
+        )
+        .expect("put image");
+    assert!(machine.click_window(viewer.window));
+    machine
+        .x_request(
+            viewer.client,
+            Request::CopyArea {
+                src: Some(plain.window),
+                dst: viewer.window,
+            },
+        )
+        .expect("copy area after a click");
+    let mut capture = |client, window| match machine.x_request(client, Request::GetImage { window })
+    {
+        Ok(Reply::Image(pixels)) => hash64(&pixels),
+        other => panic!("GetImage on {window:?}: {other:?}"),
+    };
+    let window = capture(plain.client, Some(plain.window));
+    let root = capture(viewer.client, None);
+    let copied = hash64(
+        &machine
+            .xserver()
+            .windows()
+            .get(viewer.window)
+            .expect("viewer window")
+            .pixels(),
+    );
+    assert_eq!(
+        (window, root, copied),
+        (
+            0x6d58_f711_24e7_48f3,
+            0x4e68_1f28_9fad_8d51,
+            0xeadd_2c61_1cbe_ddb9
+        ),
+        "window capture, root capture, copied pixels"
+    );
+}
+
+/// An undrawn window stores no pixels, so two machines that differ only
+/// in the size of one undrawn window have state sections of one length.
+#[test]
+fn an_undrawn_window_costs_the_same_state_bytes_at_any_size() {
+    let state_len = |rect| {
+        let mut machine = System::protected();
+        machine
+            .launch_gui_app("/usr/bin/editor", rect)
+            .expect("launch");
+        machine.settle();
+        machine.snapshot().state().len()
+    };
+    assert_eq!(
+        state_len(Rect::new(0, 0, 10, 10)),
+        state_len(Rect::new(0, 0, 1000, 700))
     );
 }
 

@@ -9,11 +9,14 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use overhaul_core::{Event, EventLog, OverhaulConfig, Recorder, System};
+use overhaul_core::{apply_event, replay, Event, EventLog, Gui, OverhaulConfig, Recorder, System};
 use overhaul_fleet::FailureTriple;
 use overhaul_fleet::{run_shard, FleetWorkload, ShardBeat, ShardOutcome, ShardPlan};
+use overhaul_kernel::error::Errno;
 use overhaul_sim::{Enc, Pack, SimDuration, SimRng, Snapshot, SnapshotError};
 use overhaul_xserver::geometry::Rect;
+use overhaul_xserver::protocol::{ClientId, Reply, Request};
+use overhaul_xserver::window::WindowId;
 
 fn recorded_machine() -> (System, EventLog, Snapshot) {
     let mut rec = Recorder::new(OverhaulConfig::protected());
@@ -176,39 +179,176 @@ fn corrupt_failure_triples_error_cleanly_and_clean_ones_survive() {
     }
 }
 
-/// Root capture indexes a window's pixels by its rect, so a state section
-/// whose packed rect grew while its pixels did not must fail to restore.
-/// Widening 40×30 to 80×30 keeps the byte length; accepted, it would make
-/// the next root `GetImage` index past the pixels.
-#[test]
-fn a_window_rect_wider_than_its_pixels_is_rejected() {
+/// The window every test below launches: 40×30 at (123, 45).
+const WINDOW: Rect = Rect::new(123, 45, 40, 30);
+
+/// A settled protected machine with one mapped [`WINDOW`], drawn with a
+/// full-size `PutImage` or never drawn.
+fn one_window_machine(drawn: bool) -> (System, Gui) {
     let mut system = System::new(OverhaulConfig::protected());
-    system
-        .launch_gui_app("/usr/bin/editor", Rect::new(123, 45, 40, 30))
+    let gui = system
+        .launch_gui_app("/usr/bin/editor", WINDOW)
         .expect("launch");
+    if drawn {
+        let data = (0..40 * 30).map(|i| (i % 7) as u8).collect();
+        system
+            .x_request(
+                gui.client,
+                Request::PutImage {
+                    window: gui.window,
+                    data,
+                },
+            )
+            .expect("put image");
+    }
     system.settle();
-    let snap = system.snapshot();
-    let packed = |width: u32| {
+    (system, gui)
+}
+
+/// `snap` with its one packed [`WINDOW`] rect overwritten by `rect`. Every
+/// rect packs to the same length, so the state section keeps its length.
+fn with_window_rect(snap: &Snapshot, rect: Rect) -> Snapshot {
+    let packed = |rect: Rect| {
         let mut enc = Enc::new();
-        Rect::new(123, 45, width, 30).pack(&mut enc);
+        rect.pack(&mut enc);
         enc.into_bytes()
     };
-    let (narrow, wide) = (packed(40), packed(80));
+    let (old, new) = (packed(WINDOW), packed(rect));
     let at: Vec<usize> = snap
         .state()
-        .windows(narrow.len())
+        .windows(old.len())
         .enumerate()
-        .filter(|(_, bytes)| *bytes == narrow.as_slice())
+        .filter(|(_, bytes)| *bytes == old.as_slice())
         .map(|(i, _)| i)
         .collect();
     assert_eq!(at.len(), 1, "the window's rect is packed once");
     let mut state = snap.state().to_vec();
-    state[at[0]..at[0] + wide.len()].copy_from_slice(&wide);
-    let widened = Snapshot::new(state, snap.aux().to_vec());
-    assert_eq!(widened.state().len(), snap.state().len());
+    state[at[0]..at[0] + new.len()].copy_from_slice(&new);
+    let patched = Snapshot::new(state, snap.aux().to_vec());
+    assert_eq!(patched.state().len(), snap.state().len());
+    patched
+}
+
+/// The image `client` captures of `window` (`None`: the root window).
+fn capture(system: &mut System, client: ClientId, window: Option<WindowId>) -> Vec<u8> {
+    match system.x_request(client, Request::GetImage { window }) {
+        Ok(Reply::Image(pixels)) => pixels,
+        other => panic!("GetImage on {window:?}: {other:?}"),
+    }
+}
+
+/// Root capture indexes a drawn window's pixels by its rect, so a state
+/// section whose packed rect grew while the drawn pixels did not must fail
+/// to restore. Widening 40×30 to 80×30 keeps the byte length; accepted, it
+/// would make the next root `GetImage` index past the pixels.
+#[test]
+fn a_window_rect_wider_than_its_pixels_is_rejected() {
+    let (mut system, _) = one_window_machine(true);
+    let snap = system.snapshot();
+    let widened = with_window_rect(&snap, Rect::new(123, 45, 80, 30));
     assert_eq!(
         System::from_snapshot(&widened).err(),
         Some(SnapshotError::BadValue("window pixel count"))
     );
     assert!(System::from_snapshot(&snap).is_ok());
+}
+
+/// An undrawn window stores no pixels, so there is nothing for a widened
+/// rect to mismatch: within X11's range the snapshot restores, and every
+/// capture derives the wider window's fill instead of indexing stored
+/// bytes.
+#[test]
+fn an_undrawn_window_with_a_widened_rect_restores_and_captures_its_fill() {
+    let (mut system, gui) = one_window_machine(false);
+    let fill = capture(&mut system, gui.client, Some(gui.window))[0];
+    let widened = with_window_rect(&system.snapshot(), Rect::new(123, 45, 80, 30));
+    let mut restored = System::from_snapshot(&widened).expect("restore");
+    assert_ne!(restored.state_hash(), system.state_hash());
+    // A click grants the owner's root capture, so the root is composited.
+    assert!(restored.click_window(gui.window));
+    let screen = restored.config().x.screen;
+    assert_eq!(
+        capture(&mut restored, gui.client, None).len() as u64,
+        screen.area()
+    );
+    assert_eq!(
+        capture(&mut restored, gui.client, Some(gui.window)),
+        vec![fill; 80 * 30]
+    );
+}
+
+/// A packed window rect outside X11's range fails to restore, drawn or
+/// not. An undrawn window's size shows nowhere else in the state, so
+/// without the check a `u32::MAX`-sided window would restore and overflow
+/// its next capture.
+#[test]
+fn a_window_rect_outside_the_x11_range_is_rejected() {
+    for drawn in [false, true] {
+        let (mut system, _) = one_window_machine(drawn);
+        let snap = system.snapshot();
+        for rect in [
+            Rect::new(123, 45, u32::MAX, u32::MAX),
+            Rect::new(123, 45, 32_768, 30),
+            Rect::new(i32::MAX - 10, 45, 40, 30),
+            Rect::new(123, -32_769, 40, 30),
+        ] {
+            assert_eq!(
+                System::from_snapshot(&with_window_rect(&snap, rect)).err(),
+                Some(SnapshotError::BadValue("window rect")),
+                "{rect:?}, drawn: {drawn}"
+            );
+        }
+    }
+}
+
+/// A decoded log may carry any window geometry. A launch outside X11's
+/// range is refused with `EINVAL` before anything is spawned, so neither a
+/// `u32::MAX`-sided window (a capacity overflow once created or captured)
+/// nor one at the edge of `i32` (an overflow when a click finds its
+/// center) reaches the X server, and the replay returns.
+#[test]
+fn replayed_launches_outside_the_x11_range_are_refused() {
+    let mut rec = Recorder::new(OverhaulConfig::protected());
+    let gui = rec
+        .apply(Event::LaunchGuiApp {
+            exe: "/usr/bin/editor".into(),
+            rect: WINDOW,
+        })
+        .gui()
+        .expect("launch");
+    rec.apply(Event::Settle);
+    rec.apply(Event::ClickWindow { window: gui.window });
+    for window in [Some(gui.window), None] {
+        rec.apply(Event::XRequest {
+            client: gui.client,
+            request: Request::GetImage { window },
+        });
+    }
+    let (_, mut log) = rec.finish();
+    let booted = System::new(log.config.clone());
+    for rect in [
+        Rect::new(0, 0, u32::MAX, u32::MAX),
+        Rect::new(i32::MAX - 10, 0, 40, 30),
+    ] {
+        log.events[0] = Event::LaunchGuiApp {
+            exe: "/usr/bin/editor".into(),
+            rect,
+        };
+        let decoded = EventLog::from_bytes(&log.to_bytes()).expect("log round-trip");
+        let mut fresh = System::new(decoded.config.clone());
+        assert_eq!(
+            apply_event(&mut fresh, &decoded.events[0]).gui().err(),
+            Some(Errno::Einval),
+            "{rect:?}"
+        );
+        let replayed = panic::catch_unwind(AssertUnwindSafe(|| replay(&decoded)))
+            .unwrap_or_else(|_| panic!("replaying a launch at {rect:?} panicked"))
+            .expect("boot");
+        assert!(replayed.xserver().windows().is_empty());
+        assert_eq!(
+            replayed.kernel().tasks().len(),
+            booted.kernel().tasks().len(),
+            "the refused launch spawned nothing"
+        );
+    }
 }
