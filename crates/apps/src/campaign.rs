@@ -949,22 +949,6 @@ impl CampaignReport {
             .filter(|s| s.verdict.as_ref().is_some_and(StageVerdict::is_regression))
             .collect()
     }
-
-    /// Stages whose documented bypass happened as expected.
-    pub fn bypasses_documented(&self) -> usize {
-        self.stages
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s.check,
-                    Some(Check {
-                        expect: Expectation::ExpectedBypass { .. },
-                        ..
-                    })
-                ) && s.verdict == Some(StageVerdict::Pass)
-            })
-            .count()
-    }
 }
 
 /// Runs one campaign over a [`Recorder`]: every stage resolves to one

@@ -1,7 +1,7 @@
 //! Diffs a fresh `BENCH_*.json` artifact against a committed baseline.
 //!
 //! ```text
-//! bench_diff <baseline.json> <current.json> <key>[:lower|:higher][:threshold_pct] ...
+//! bench_diff <baseline.json> <current.json> <key>[:lower|:higher][:threshold_pct]|<key>:eq ...
 //! ```
 //!
 //! Each checked key names one numeric field present in both files. The
@@ -9,7 +9,10 @@
 //! per-op nanoseconds) or `higher` (for speedup ratios). A key regresses
 //! when it moves in the *worse* direction by more than the threshold
 //! (default 20%), in which case the tool prints the offending key and
-//! exits non-zero — that is the CI gate on the cached decide path.
+//! exits non-zero — that is the CI gate on the cached decide path. `eq`
+//! takes no threshold: any difference fails, in either direction. It
+//! gates seeded counts, which a correct change leaves exactly as they
+//! are.
 //!
 //! The parser is hand-rolled for the flat artifact format
 //! ([`overhaul_sim::BenchArtifact`]): one JSON object, string keys,
@@ -28,6 +31,8 @@ enum Better {
     Lower,
     /// Larger numbers are better (ratios, throughputs).
     Higher,
+    /// Only the baseline's value is right (seeded counts).
+    Equal,
 }
 
 /// One `key[:direction][:threshold]` check from the command line.
@@ -46,22 +51,28 @@ fn parse_check(spec: &str) -> Result<Check, String> {
         .ok_or_else(|| format!("empty key in check spec {spec:?}"))?
         .to_string();
     let mut better = Better::Lower;
-    let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
+    let mut threshold_pct = None;
     for part in parts {
         match part {
             "lower" => better = Better::Lower,
             "higher" => better = Better::Higher,
+            "eq" => better = Better::Equal,
             other => {
-                threshold_pct = other
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad check component {other:?} in {spec:?}"))?;
+                threshold_pct = Some(
+                    other
+                        .parse::<f64>()
+                        .map_err(|_| format!("bad check component {other:?} in {spec:?}"))?,
+                );
             }
         }
+    }
+    if better == Better::Equal && threshold_pct.is_some() {
+        return Err(format!("`eq` takes no threshold in {spec:?}"));
     }
     Ok(Check {
         key,
         better,
-        threshold_pct,
+        threshold_pct: threshold_pct.unwrap_or(DEFAULT_THRESHOLD_PCT),
     })
 }
 
@@ -151,7 +162,7 @@ fn scan_value(s: &str) -> Result<(&str, &str), String> {
 }
 
 /// Signed regression percentage: positive means `current` is worse than
-/// `baseline` by that much.
+/// `baseline` by that much. For `eq`, any move counts as worse.
 fn regression_pct(check: &Check, baseline: f64, current: f64) -> f64 {
     if baseline == 0.0 {
         return 0.0;
@@ -159,8 +170,19 @@ fn regression_pct(check: &Check, baseline: f64, current: f64) -> f64 {
     let delta = match check.better {
         Better::Lower => current - baseline,
         Better::Higher => baseline - current,
+        Better::Equal => (current - baseline).abs(),
     };
     delta / baseline.abs() * 100.0
+}
+
+/// Whether `current` fails the check against `baseline`.
+fn regressed(check: &Check, baseline: f64, current: f64) -> bool {
+    match check.better {
+        Better::Equal => current != baseline,
+        Better::Lower | Better::Higher => {
+            regression_pct(check, baseline, current) > check.threshold_pct
+        }
+    }
 }
 
 fn load(path: &str) -> Result<BTreeMap<String, f64>, String> {
@@ -171,7 +193,7 @@ fn load(path: &str) -> Result<BTreeMap<String, f64>, String> {
 fn run(args: &[String]) -> Result<bool, String> {
     let [baseline_path, current_path, checks @ ..] = args else {
         return Err("usage: bench_diff <baseline.json> <current.json> \
-             <key>[:lower|:higher][:threshold_pct] ..."
+             <key>[:lower|:higher][:threshold_pct]|<key>:eq ..."
             .to_string());
     };
     if checks.is_empty() {
@@ -189,15 +211,19 @@ fn run(args: &[String]) -> Result<bool, String> {
             .get(&check.key)
             .ok_or_else(|| format!("current {current_path} has no key {:?}", check.key))?;
         let pct = regression_pct(&check, base, cur);
-        let verdict = if pct > check.threshold_pct {
+        let verdict = if regressed(&check, base, cur) {
             failed = true;
             "REGRESSED"
         } else {
             "ok"
         };
+        let budget = match check.better {
+            Better::Equal => "equal".to_string(),
+            Better::Lower | Better::Higher => format!("{:.0}%", check.threshold_pct),
+        };
         println!(
-            "{:<28} baseline {:>12.3}  current {:>12.3}  change {:>+7.1}%  (budget {:.0}%)  {}",
-            check.key, base, cur, pct, check.threshold_pct, verdict
+            "{:<28} baseline {:>12.3}  current {:>12.3}  change {:>+7.1}%  (budget {budget})  {}",
+            check.key, base, cur, pct, verdict
         );
     }
     Ok(failed)
@@ -262,6 +288,22 @@ mod tests {
         );
         assert!(parse_check(":lower").is_err());
         assert!(parse_check("k:sideways").is_err());
+        assert_eq!(parse_check("ok:eq").unwrap().better, Better::Equal);
+        assert!(parse_check("ok:eq:5").is_err(), "eq takes no threshold");
+    }
+
+    #[test]
+    fn eq_fails_any_difference_in_either_direction() {
+        let eq = parse_check("failed:eq").unwrap();
+        assert!(!regressed(&eq, 5.0, 5.0));
+        assert!(regressed(&eq, 5.0, 6.0));
+        assert!(regressed(&eq, 5.0, 4.0), "a drop is a change too");
+        assert!(regressed(&eq, 0.0, 1.0), "a zero baseline still gates");
+        assert!(regressed(&eq, 3068.0, 3068.5));
+        // A rise that `higher:0` would wave through.
+        let higher = parse_check("ok:higher:0").unwrap();
+        assert!(!regressed(&higher, 59.0, 60.0));
+        assert!(regressed(&eq, 59.0, 60.0));
     }
 
     #[test]
@@ -299,6 +341,17 @@ mod tests {
 
         std::fs::write(&cur, "{\"name\":\"d\",\"hit_ns\":140,\"ratio\":9}\n").unwrap();
         assert_eq!(run(&args), Ok(true));
+
+        // An `eq` key passes only on the baseline's exact value.
+        let eq_args = |key: &str| -> Vec<String> {
+            [base.to_str().unwrap(), cur.to_str().unwrap(), key]
+                .iter()
+                .map(|s| s.to_string())
+                .collect()
+        };
+        std::fs::write(&cur, "{\"name\":\"d\",\"hit_ns\":100,\"ratio\":11}\n").unwrap();
+        assert_eq!(run(&eq_args("hit_ns:eq")), Ok(false));
+        assert_eq!(run(&eq_args("ratio:eq")), Ok(true));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,15 +48,6 @@ pub fn spin(d: Duration) {
     }
 }
 
-/// Renders a list of (label, value) pairs as an aligned two-column block.
-pub fn format_kv(rows: &[(String, String)]) -> String {
-    let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    rows.iter()
-        .map(|(k, v)| format!("  {k:<width$}  {v}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

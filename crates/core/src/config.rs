@@ -121,12 +121,6 @@ impl OverhaulConfig {
         self
     }
 
-    /// Replaces the boot device list (builder style).
-    pub fn with_devices(mut self, devices: Vec<DeviceSpec>) -> Self {
-        self.devices = devices;
-        self
-    }
-
     /// Installs a deterministic fault plan (builder style). The plan is
     /// armed at boot and drives channel faults, scheduled display-manager
     /// crashes, and VFS stat failures for the whole run.

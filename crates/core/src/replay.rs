@@ -19,7 +19,7 @@
 //! manager, fault plan, virtual clock) is either serialized state or a
 //! pure function of it.
 
-use overhaul_kernel::device::DeviceClass;
+use overhaul_kernel::device::{DeviceClass, DeviceId};
 use overhaul_kernel::error::SysResult;
 use overhaul_kernel::ipc::shm::ShmId;
 use overhaul_kernel::mm::VmaId;
@@ -244,10 +244,13 @@ pub enum Event {
 pub enum ApplyOutcome {
     /// Events with no interesting result (`Settle`, `CrashX`, ...).
     None,
-    /// The new virtual time after an `Advance`.
-    Time(Timestamp),
+    /// The new virtual time after an `Advance`; `None` when the advance
+    /// was refused because it would pass the end of time.
+    Time(Option<Timestamp>),
     /// A spawned/forked process.
     Pid(SysResult<Pid>),
+    /// A hot-plugged device.
+    Device(SysResult<DeviceId>),
     /// A launched GUI app.
     Gui(SysResult<Gui>),
     /// A connected X client.
@@ -403,8 +406,7 @@ pub fn apply_event(system: &mut System, event: &Event) -> ApplyOutcome {
         }
         Event::RestartX => ApplyOutcome::Restarted(system.restart_x()),
         Event::AttachDevice { class, label, path } => {
-            system.kernel_mut().attach_device(*class, label, path);
-            ApplyOutcome::None
+            ApplyOutcome::Device(system.kernel_mut().attach_device(*class, label, path))
         }
         Event::UdevRename { old, new } => {
             ApplyOutcome::Unit(system.kernel_mut().udev_rename_device(old, new))
@@ -619,6 +621,7 @@ pub fn replay_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overhaul_kernel::error::Errno;
     use overhaul_sim::SimDuration;
 
     fn scripted_workload(rec: &mut Recorder) {
@@ -713,6 +716,52 @@ mod tests {
         log.final_ledger_head = Some(log.final_ledger_head.unwrap() ^ 1);
         let replayed = replay(&log).expect("replay boots");
         assert_eq!(replayed.kernel().snapshot_stats().replay_divergence, 1);
+    }
+
+    #[test]
+    fn a_second_attach_at_one_path_is_refused_and_the_log_replays() {
+        let attach = |label: &str, path: &str| Event::AttachDevice {
+            class: DeviceClass::Camera,
+            label: label.into(),
+            path: path.into(),
+        };
+        let mut rec = Recorder::new(OverhaulConfig::protected());
+        let first = rec.apply(attach("usbcam", "/dev/video9"));
+        assert!(matches!(first, ApplyOutcome::Device(Ok(_))), "{first:?}");
+        let (hash, head) = (rec.system().state_hash(), rec.system().ledger_head());
+        for (path, errno) in [
+            ("/dev/video9", Errno::Eexist),
+            ("/dev/video9/x", Errno::Enotdir),
+            ("dev/video10", Errno::Einval),
+        ] {
+            let refused = rec.apply(attach("second", path));
+            assert!(
+                matches!(refused, ApplyOutcome::Device(Err(e)) if e == errno),
+                "{path}: {refused:?}"
+            );
+        }
+        assert_eq!(rec.system().state_hash(), hash, "a refusal leaves no trace");
+        assert_eq!(rec.system().ledger_head(), head);
+        let (recorded, log) = rec.finish();
+        let replayed = replay(&log).expect("replay boots");
+        assert_eq!(replayed.state_hash(), recorded.state_hash());
+        assert_eq!(replayed.kernel().snapshot_stats().replay_divergence, 0);
+    }
+
+    #[test]
+    fn an_advance_past_the_end_of_time_is_refused_and_the_log_replays() {
+        let mut rec = Recorder::new(OverhaulConfig::protected());
+        let start = rec.system().now();
+        let one_ms = SimDuration::from_millis(1);
+        let at = rec.apply(Event::Advance(one_ms));
+        assert!(matches!(at, ApplyOutcome::Time(Some(t)) if t == start + one_ms));
+        let refused = rec.apply(Event::Advance(SimDuration::from_millis(u64::MAX)));
+        assert!(matches!(refused, ApplyOutcome::Time(None)), "{refused:?}");
+        let (recorded, log) = rec.finish();
+        assert_eq!(recorded.now(), start + one_ms, "the clock did not move");
+        let replayed = replay(&log).expect("replay boots");
+        assert_eq!(replayed.now(), start + one_ms);
+        assert_eq!(replayed.state_hash(), recorded.state_hash());
     }
 
     #[test]

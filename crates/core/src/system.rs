@@ -12,7 +12,7 @@ use overhaul_kernel::error::{Errno, SysResult};
 use overhaul_kernel::netlink::{ChannelState, ConnId, KernelPush, NetlinkError};
 use overhaul_kernel::syscall::OpenMode;
 use overhaul_kernel::{Kernel, XORG_PATH};
-use overhaul_sim::snapshot::{hash64, Dec, Enc, Pack, Snapshot, SnapshotError};
+use overhaul_sim::snapshot::{hash64, Dec, Enc, Hashed, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, ControlPlane, FaultPlan, Fd, Ledger, LedgerError, Mechanism,
     ModelledCost, Pid, SimDuration, SketchBook, Sketches, Timestamp, Tracer,
@@ -46,6 +46,8 @@ pub enum BootError {
     /// The netlink channel could not authenticate, even after bounded
     /// retries of transient failures.
     ChannelAuth(NetlinkError),
+    /// A configured device could not be attached (two at one path).
+    Device(Errno),
 }
 
 impl fmt::Display for BootError {
@@ -57,6 +59,7 @@ impl fmt::Display for BootError {
             BootError::ChannelAuth(err) => {
                 write!(f, "netlink channel authentication failed: {err}")
             }
+            BootError::Device(errno) => write!(f, "attaching a configured device failed: {errno}"),
         }
     }
 }
@@ -71,7 +74,7 @@ pub struct System {
     x: XServer,
     x_pid: Pid,
     x_conn: Option<ConnId>,
-    config: OverhaulConfig,
+    config: Hashed<OverhaulConfig>,
     fault: Option<FaultPlan>,
     /// Shared span tracer. Disabled unless `config.tracing`; clones of this
     /// handle live inside the kernel and the display manager, all writing
@@ -109,7 +112,8 @@ impl System {
     ///
     /// [`BootError::Spawn`] when the display-manager process cannot be
     /// created; [`BootError::ChannelAuth`] when channel authentication
-    /// keeps failing.
+    /// keeps failing; [`BootError::Device`] when two configured devices
+    /// share a path.
     pub fn try_new(config: OverhaulConfig) -> Result<Self, BootError> {
         let clock = Clock::new();
         let tracer = if config.tracing {
@@ -126,7 +130,9 @@ impl System {
             kernel.install_fault_plan(plan.clone());
         }
         for device in &config.devices {
-            kernel.attach_device(device.class, &device.label, &device.path);
+            kernel
+                .attach_device(device.class, &device.label, &device.path)
+                .map_err(BootError::Device)?;
         }
         let x_pid = kernel
             .sys_spawn(Pid::INIT, XORG_PATH)
@@ -150,7 +156,7 @@ impl System {
             x,
             x_pid,
             x_conn,
-            config,
+            config: Hashed::new(config),
             fault,
             tracer,
             sketches,
@@ -242,9 +248,10 @@ impl System {
 
     /// Advances virtual time and runs kernel housekeeping (the shm wait
     /// list re-arm). If an installed fault plan scheduled a display-manager
-    /// crash before `now`, the crash fires here.
-    pub fn advance(&mut self, d: SimDuration) -> Timestamp {
-        let now = self.clock.advance(d);
+    /// crash before `now`, the crash fires here. An advance past the end of
+    /// time is refused: nothing changes and the result is `None`.
+    pub fn advance(&mut self, d: SimDuration) -> Option<Timestamp> {
+        let now = self.clock.advance(d)?;
         let crash_due = self
             .fault
             .as_ref()
@@ -253,7 +260,7 @@ impl System {
             self.crash_x();
         }
         self.kernel.tick();
-        now
+        Some(now)
     }
 
     /// The kernel.
@@ -717,11 +724,6 @@ impl System {
         Ok(replayed)
     }
 
-    /// Alerts currently visible on the overlay.
-    pub fn active_alerts(&self) -> Vec<&Alert> {
-        self.x.alerts().active(self.clock.now())
-    }
-
     /// Every alert shown so far.
     pub fn alert_history(&self) -> &[Alert] {
         self.x.alerts().history()
@@ -731,26 +733,26 @@ impl System {
     // Checkpoint / restore
     // ---------------------------------------------------------------
 
-    /// Serializes the machine's primary state (the hashed section of a
-    /// snapshot): virtual time, configuration, display-manager identity,
-    /// the fault-plan schedule and RNG position, and the full kernel and
+    /// Writes the machine's primary state (a snapshot's state section):
+    /// virtual time, configuration, display-manager identity, the
+    /// fault-plan schedule and RNG position, and the full kernel and
     /// X-server state. Derived caches are excluded — restore rebuilds them.
-    fn export_state(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.clock.now().pack(&mut enc);
-        self.config.pack(&mut enc);
-        self.x_pid.pack(&mut enc);
-        self.x_conn.pack(&mut enc);
+    /// In digest mode ([`Enc::digest`]) the same field list writes what
+    /// [`System::state_hash`] hashes.
+    fn export_state(&self, enc: &mut Enc) {
+        self.clock.now().pack(enc);
+        self.config.pack(enc);
+        self.x_pid.pack(enc);
+        self.x_conn.pack(enc);
         match &self.fault {
-            None => false.pack(&mut enc),
+            None => false.pack(enc),
             Some(plan) => {
-                true.pack(&mut enc);
-                plan.export(&mut enc);
+                true.pack(enc);
+                plan.export(enc);
             }
         }
-        self.kernel.export_snapshot(&mut enc);
-        self.x.export_snapshot(&mut enc);
-        enc.into_bytes()
+        self.kernel.export_snapshot(enc);
+        self.x.export_snapshot(enc);
     }
 
     /// Serializes the aux section: observability state that restores
@@ -765,10 +767,15 @@ impl System {
     }
 
     /// Canonical hash of the machine's primary state: [`hash64`] over the
-    /// serialized state section. Two machines with equal hashes decide,
-    /// trace, and evolve identically from here on.
+    /// state section written in digest mode, where each cached component
+    /// is its digest and each ledger its chain anchors. Only components
+    /// borrowed mutably since the last call are encoded again. Two machines
+    /// with equal hashes decide, trace, and evolve identically from here
+    /// on.
     pub fn state_hash(&self) -> u64 {
-        hash64(&self.export_state())
+        let mut enc = Enc::digest();
+        self.export_state(&mut enc);
+        hash64(enc.bytes())
     }
 
     /// Checkpoints the machine into a versioned [`Snapshot`]. The exported
@@ -776,7 +783,9 @@ impl System {
     /// so taking a checkpoint never perturbs [`System::state_hash`]).
     pub fn snapshot(&mut self) -> Snapshot {
         let t0 = std::time::Instant::now();
-        let state = self.export_state();
+        let mut state = Enc::new();
+        self.export_state(&mut state);
+        let state = state.into_bytes();
         let aux = self.export_aux();
         self.kernel.note_snapshot_bytes(state.len() as u64);
         let snapshot = Snapshot::new(state, aux);
@@ -835,7 +844,7 @@ impl System {
             x,
             x_pid,
             x_conn,
-            config,
+            config: Hashed::new(config),
             fault,
             tracer,
             sketches,
@@ -1206,7 +1215,11 @@ mod tests {
         let _ = system.open_device(app.pid, "/dev/snd/mic0");
         let hash = system.state_hash();
         let snap = system.snapshot();
-        assert_eq!(snap.state_hash(), hash, "snapshot hashes the same state");
+        assert_eq!(
+            System::from_snapshot(&snap).expect("restore").state_hash(),
+            hash,
+            "snapshot holds the same state"
+        );
 
         // Diverge, then roll back.
         system.advance(SimDuration::from_secs(9));
@@ -1223,6 +1236,30 @@ mod tests {
     }
 
     #[test]
+    fn state_hash_depends_only_on_state_section() {
+        let mut system = System::protected();
+        let app = gui(&mut system, "/usr/bin/recorder", 0);
+        system.click_window(app.window);
+        // A checkpoint records its own export in the sketch book, so two
+        // back-to-back snapshots share a state section but not an aux one.
+        let a = system.snapshot();
+        let b = system.snapshot();
+        assert_eq!(a.state(), b.state());
+        assert_ne!(a.aux(), b.aux());
+        let restored_hash =
+            |snap: &Snapshot| System::from_snapshot(snap).expect("restore").state_hash();
+        assert_eq!(restored_hash(&a), system.state_hash());
+        assert_eq!(restored_hash(&b), system.state_hash());
+
+        // The state section opens with the clock: a clock one millisecond
+        // off restores to another hash.
+        let mut state = a.state().to_vec();
+        state[0] ^= 1;
+        let moved = Snapshot::new(state, a.aux().to_vec());
+        assert_ne!(restored_hash(&moved), system.state_hash());
+    }
+
+    #[test]
     fn control_plane_is_a_reduction_of_the_ledger() {
         let mut system = System::protected();
         assert_eq!(
@@ -1233,11 +1270,14 @@ mod tests {
         let app = gui(&mut system, "/usr/bin/recorder", 0);
         system.click_window(app.window);
         let _ = system.open_device(app.pid, "/dev/snd/mic0");
-        system.kernel_mut().attach_device(
-            overhaul_kernel::device::DeviceClass::Camera,
-            "usbcam",
-            "/dev/video9",
-        );
+        system
+            .kernel_mut()
+            .attach_device(
+                overhaul_kernel::device::DeviceClass::Camera,
+                "usbcam",
+                "/dev/video9",
+            )
+            .expect("attach");
         system
             .kernel_mut()
             .udev_rename_device("/dev/video9", "/dev/video10")

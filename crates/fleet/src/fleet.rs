@@ -4,8 +4,9 @@
 //! runs them on a named worker pool, supervises wall-clock progress
 //! (cancelling shards whose heartbeat stalls), enforces a failure budget
 //! (past it the fleet stops claiming new shards instead of aborting),
-//! shrinks every failure triple, and merges per-shard Prometheus pages
-//! into a single fleet registry with shard/failure counters on top.
+//! shrinks every failure triple on the worker that found it, and merges
+//! per-shard Prometheus pages into a single fleet registry with
+//! shard/failure counters on top.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -34,7 +35,8 @@ pub struct FleetConfig {
     /// Failures tolerated before the fleet degrades (stops claiming new
     /// shards). Shards already running still finish and report.
     pub failure_budget: usize,
-    /// Whether to shrink failure triples after the run.
+    /// Whether to shrink failure triples (each on the worker that found
+    /// it).
     pub shrink: bool,
     /// Replay budget per shrink.
     pub shrink_replays: usize,
@@ -153,17 +155,6 @@ impl FleetReport {
         heads.dedup();
         heads.len()
     }
-
-    /// The ledger-diff view between two shard indices: every localized
-    /// divergence line, or an empty vec when the digests agree (or either
-    /// shard is unknown).
-    pub fn ledger_diff(&self, a: usize, b: usize) -> Vec<String> {
-        let find = |idx: usize| self.ledgers.iter().find(|(i, _)| *i == idx).map(|(_, l)| l);
-        match (find(a), find(b)) {
-            (Some(la), Some(lb)) => la.diff(lb),
-            _ => Vec::new(),
-        }
-    }
 }
 
 /// Runs the whole fleet and aggregates. See [`FleetConfig`] for knobs.
@@ -185,7 +176,10 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     // the supervisor at once instead of after its next poll.
     let (worker_alive, workers_done) = mpsc::channel::<()>();
     let degraded = AtomicBool::new(false);
-    let reports: Mutex<Vec<ShardReport>> = Mutex::new(Vec::with_capacity(config.shards));
+    // Each failed shard's triple comes with its shrink, done on the
+    // worker while the other workers keep running shards.
+    let reports: Mutex<Vec<(ShardReport, Option<ShrinkReport>)>> =
+        Mutex::new(Vec::with_capacity(config.shards));
 
     std::thread::scope(|s| {
         for w in 0..config.worker_count() {
@@ -212,10 +206,16 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
                             break;
                         }
                         let report = run_shard(&plans[idx], &beats[idx]);
-                        if !report.outcome.is_ok() {
-                            failures_seen.fetch_add(1, Ordering::Relaxed);
-                        }
-                        reports.lock().unwrap().push(report);
+                        let shrunk = match &report.outcome {
+                            ShardOutcome::Ok { .. } => None,
+                            ShardOutcome::Failed(triple) => {
+                                failures_seen.fetch_add(1, Ordering::Relaxed);
+                                config
+                                    .shrink
+                                    .then(|| shrink_triple(triple, config.shrink_replays))
+                            }
+                        };
+                        reports.lock().unwrap().push((report, shrunk));
                     }
                 })
                 .expect("spawn fleet worker");
@@ -247,7 +247,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     });
 
     let mut reports = reports.into_inner().unwrap();
-    reports.sort_by_key(|r| r.index);
+    reports.sort_by_key(|(r, _)| r.index);
 
     let mut metrics = MetricsRegistry::new();
     let mut failures = Vec::new();
@@ -264,7 +264,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let mut ledgers: Vec<(usize, LedgerSummary)> = Vec::with_capacity(reports.len());
     let mut archives: Vec<ShardArchive> = Vec::new();
     let attempted = reports.len();
-    for report in reports {
+    for (report, shrunk) in reports {
         metrics.merge(&report.metrics);
         sketches.merge(&report.sketches);
         ledgers.push((report.index, report.ledger.clone()));
@@ -290,12 +290,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
                 }
             }
             ShardOutcome::Failed(triple) => {
-                let shrunk = if config.shrink {
-                    shrink_triple(&triple, config.shrink_replays)
-                } else {
-                    ShrinkReport::unshrunk(*triple)
-                };
-                failures.push(shrunk);
+                failures.push(shrunk.unwrap_or_else(|| ShrinkReport::unshrunk(*triple)));
             }
         }
     }

@@ -17,6 +17,12 @@ use crate::error::{Errno, SysResult};
 /// Simulated page size in bytes (4 KiB).
 pub const PAGE_SIZE: usize = 4096;
 
+/// The largest segment `shmget` and `shm_open` create, in pages: 1 GiB,
+/// 26 times the paper's largest Table I segment (10 000 pages). A larger
+/// request is `EINVAL`, as past Linux's `SHMMAX`, so a segment's byte
+/// count never overflows and its allocation stays bounded.
+pub const SHM_MAX_PAGES: usize = 1 << 18;
+
 /// Identifier of a shared-memory segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShmId(u64);
@@ -100,6 +106,15 @@ impl ShmSegment {
     }
 }
 
+/// Refuses a segment size of zero pages or above [`SHM_MAX_PAGES`].
+fn check_size(pages: usize) -> SysResult<()> {
+    if (1..=SHM_MAX_PAGES).contains(&pages) {
+        Ok(())
+    } else {
+        Err(Errno::Einval)
+    }
+}
+
 /// Table of all shared-memory segments.
 #[derive(Debug, Clone, Default)]
 pub struct ShmTable {
@@ -127,11 +142,9 @@ impl ShmTable {
     /// # Errors
     ///
     /// [`Errno::Einval`] if an existing segment for `key` is smaller than
-    /// `pages`, or if `pages` is zero.
+    /// `pages`, or if `pages` is zero or above [`SHM_MAX_PAGES`].
     pub fn sysv_get(&mut self, key: i32, pages: usize) -> SysResult<ShmId> {
-        if pages == 0 {
-            return Err(Errno::Einval);
-        }
+        check_size(pages)?;
         if let Some(id) = self.sysv_keys.get(&key) {
             let seg = self.segments.get(id).expect("key table consistent");
             if seg.pages < pages {
@@ -148,12 +161,10 @@ impl ShmTable {
     ///
     /// # Errors
     ///
-    /// [`Errno::Einval`] if `pages` is zero or an existing segment is
-    /// smaller.
+    /// [`Errno::Einval`] if `pages` is zero or above [`SHM_MAX_PAGES`], or
+    /// an existing segment is smaller.
     pub fn posix_open(&mut self, name: &str, pages: usize) -> SysResult<ShmId> {
-        if pages == 0 {
-            return Err(Errno::Einval);
-        }
+        check_size(pages)?;
         if let Some(id) = self.posix_names.get(name) {
             let seg = self.segments.get(id).expect("name table consistent");
             if seg.pages < pages {
@@ -300,6 +311,19 @@ mod tests {
         let mut table = ShmTable::new();
         assert_eq!(table.sysv_get(1, 0), Err(Errno::Einval));
         assert_eq!(table.posix_open("/x", 0), Err(Errno::Einval));
+    }
+
+    #[test]
+    fn oversized_segments_are_einval_before_any_allocation() {
+        // A byte count that overflows `usize`, then the first size past
+        // the bound; the bound itself is not allocated here.
+        let mut table = ShmTable::new();
+        for pages in [usize::MAX / PAGE_SIZE + 1, SHM_MAX_PAGES + 1] {
+            assert_eq!(table.sysv_get(7, pages), Err(Errno::Einval), "{pages}");
+            assert_eq!(table.posix_open("/big", pages), Err(Errno::Einval));
+        }
+        assert!(table.is_empty());
+        assert!(table.posix_open("/table1", 10_000).is_ok());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let clock = Clock::new();
 //! let mut kernel = Kernel::new(clock.clone(), KernelConfig::default());
-//! let mic = kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+//! let mic = kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")?;
 //!
 //! let app = kernel.sys_spawn(Pid::INIT, "/usr/bin/recorder")?;
 //! // No user interaction yet: Overhaul denies the open.
@@ -61,6 +61,7 @@ pub mod vfs;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
+use overhaul_sim::snapshot::Hashed;
 use overhaul_sim::work::{self, ModelledCost};
 use overhaul_sim::{
     AuditCategory, AuditLog, ChannelFault, Clock, ConfigKey, ControlPlane, Effect, FaultPlan,
@@ -160,19 +161,21 @@ impl KernelConfig {
 #[derive(Debug)]
 pub struct Kernel {
     clock: Clock,
-    config: KernelConfig,
-    pub(crate) tasks: ProcessTable,
-    pub(crate) vfs: Vfs,
-    pub(crate) devices: DeviceRegistry,
-    pub(crate) device_map: DeviceMap,
-    pub(crate) monitor: PermissionMonitor,
-    pub(crate) netlink: Netlink,
-    pub(crate) pipes: PipeTable,
-    pub(crate) sockets: SocketTable,
-    pub(crate) msgqueues: MsgQueueTable,
-    pub(crate) shm: ShmTable,
-    pub(crate) mm: MemoryManager,
-    pub(crate) ptys: PtyTable,
+    // Components behind `Hashed` cache their state-hash digest until next
+    // borrowed mutably (see `overhaul_sim::snapshot::Hashed`).
+    config: Hashed<KernelConfig>,
+    pub(crate) tasks: Hashed<ProcessTable>,
+    pub(crate) vfs: Hashed<Vfs>,
+    pub(crate) devices: Hashed<DeviceRegistry>,
+    pub(crate) device_map: Hashed<DeviceMap>,
+    pub(crate) monitor: Hashed<PermissionMonitor>,
+    pub(crate) netlink: Hashed<Netlink>,
+    pub(crate) pipes: Hashed<PipeTable>,
+    pub(crate) sockets: Hashed<SocketTable>,
+    pub(crate) msgqueues: Hashed<MsgQueueTable>,
+    pub(crate) shm: Hashed<ShmTable>,
+    pub(crate) mm: Hashed<MemoryManager>,
+    pub(crate) ptys: Hashed<PtyTable>,
     pub(crate) ptrace: PtracePolicy,
     /// The authoritative hash-chained history. Every audited event and
     /// every control-plane mutation is appended here as a typed entry; the
@@ -265,17 +268,17 @@ impl Kernel {
             ledger.append(LedgerEntry::silent(boot, Effect::Config { key, value }));
         }
         Kernel {
-            tasks: ProcessTable::new(),
-            devices: DeviceRegistry::new(),
-            device_map: DeviceMap::new(),
-            monitor: PermissionMonitor::new(config.monitor),
-            netlink: Netlink::new(config.trusted_netlink_paths.clone()),
-            pipes: PipeTable::new(),
-            sockets: SocketTable::new(),
-            msgqueues: MsgQueueTable::new(),
-            shm: ShmTable::new(),
-            mm: MemoryManager::new(config.overhaul_enabled, config.shm_wait),
-            ptys: PtyTable::new(),
+            tasks: Hashed::new(ProcessTable::new()),
+            devices: Hashed::new(DeviceRegistry::new()),
+            device_map: Hashed::new(DeviceMap::new()),
+            monitor: Hashed::new(PermissionMonitor::new(config.monitor)),
+            netlink: Hashed::new(Netlink::new(config.trusted_netlink_paths.clone())),
+            pipes: Hashed::new(PipeTable::new()),
+            sockets: Hashed::new(SocketTable::new()),
+            msgqueues: Hashed::new(MsgQueueTable::new()),
+            shm: Hashed::new(ShmTable::new()),
+            mm: Hashed::new(MemoryManager::new(config.overhaul_enabled, config.shm_wait)),
+            ptys: Hashed::new(PtyTable::new()),
             ptrace: PtracePolicy {
                 hardening_enabled: config.ptrace_hardening,
             },
@@ -292,9 +295,9 @@ impl Kernel {
             snapshot_stats: SnapshotStats::default(),
             sketch: Sketches::new(),
             cost: ModelledCost::default(),
-            vfs,
+            vfs: Hashed::new(vfs),
             clock,
-            config,
+            config: Hashed::new(config),
         }
     }
 
@@ -318,20 +321,6 @@ impl Kernel {
         self.config.overhaul_enabled
     }
 
-    /// Flips the master switch (baseline vs. protected benchmarking).
-    pub fn set_overhaul_enabled(&mut self, enabled: bool) {
-        self.config.overhaul_enabled = enabled;
-        self.mm.set_interpose(enabled);
-        self.policy_epoch += 1;
-        self.ledger.append(LedgerEntry::silent(
-            self.clock.now(),
-            Effect::Config {
-                key: ConfigKey::OverhaulEnabled,
-                value: u64::from(enabled),
-            },
-        ));
-    }
-
     /// Reconfigures the permission monitor (δ sweeps, grant-all mode).
     pub fn set_monitor_config(&mut self, monitor: MonitorConfig) {
         self.config.monitor = monitor;
@@ -352,12 +341,6 @@ impl Kernel {
                 value: u64::from(monitor.grant_all),
             },
         ));
-    }
-
-    /// Reconfigures the shared-memory wait window (ablation sweeps).
-    pub fn set_shm_wait(&mut self, wait: SimDuration) {
-        self.config.shm_wait = wait;
-        self.mm.set_wait_duration(wait);
     }
 
     /// The audit log: a view of the ledger's non-silent entries.
@@ -578,17 +561,29 @@ impl Kernel {
     // ---------------------------------------------------------------
 
     /// Attaches a new hardware device: registers it, creates its `/dev`
-    /// node, and has the trusted helper record the path mapping.
+    /// node (and any missing parent directories), and has the trusted
+    /// helper record the path mapping.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `path` collides with an existing node (harness bug).
-    pub fn attach_device(&mut self, class: DeviceClass, label: &str, path: &str) -> DeviceId {
+    /// [`Errno::Eexist`] if `path` already names a node, and the path
+    /// walk's errors ([`Errno::Enotdir`] through a non-directory,
+    /// [`Errno::Einval`] for a relative path). The path is checked first,
+    /// so a refused attach changes nothing.
+    pub fn attach_device(
+        &mut self,
+        class: DeviceClass,
+        label: &str,
+        path: &str,
+    ) -> SysResult<DeviceId> {
+        match self.vfs.resolve(path) {
+            Ok(_) => return Err(Errno::Eexist),
+            Err(Errno::Enoent) => {}
+            Err(err) => return Err(err),
+        }
+        ensure_parent_dirs(&mut self.vfs, path)?;
         let device = self.devices.register(class, label);
-        ensure_parent_dirs(&mut self.vfs, path).expect("device path parents");
-        self.vfs
-            .mknod_device(path, device, 0o666)
-            .expect("device node path free");
+        self.vfs.mknod_device(path, device, 0o666)?;
         self.device_map.insert(path, device);
         self.ledger.append(
             LedgerEntry::event(
@@ -602,7 +597,7 @@ impl Kernel {
                 device: device.as_raw(),
             }),
         );
-        device
+        Ok(device)
     }
 
     /// Simulates udev renaming a device node, with the trusted helper
@@ -659,7 +654,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if `old_path` does not exist or `new_path` is taken (harness
-    /// bug, as in [`Kernel::attach_device`]).
+    /// bug).
     pub fn udev_rename_device_via_channel(
         &mut self,
         helper_conn: ConnId,
@@ -1728,7 +1723,9 @@ mod tests {
     #[test]
     fn attach_device_creates_node_and_map_entry() {
         let mut k = kernel();
-        let id = k.attach_device(DeviceClass::Camera, "webcam", "/dev/video0");
+        let id = k
+            .attach_device(DeviceClass::Camera, "webcam", "/dev/video0")
+            .expect("attach");
         assert!(k.vfs().stat("/dev/video0").unwrap().is_device);
         assert_eq!(k.device_map().lookup("/dev/video0"), Some(id));
     }
@@ -1829,7 +1826,9 @@ mod tests {
     #[test]
     fn udev_rename_with_helper_keeps_mediation_map_in_sync() {
         let mut k = kernel();
-        let id = k.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+        let id = k
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
         k.udev_rename_device("/dev/snd/mic0", "/dev/snd/mic1")
             .unwrap();
         assert_eq!(k.device_map().lookup("/dev/snd/mic1"), Some(id));
@@ -1990,7 +1989,9 @@ mod tests {
     #[test]
     fn channel_down_rename_keeps_device_quarantined() {
         let mut k = kernel();
-        let id = k.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+        let id = k
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
         let helper = k.sys_spawn(Pid::INIT, UDEV_HELPER_PATH).unwrap();
         let conn = k.netlink_connect(helper).unwrap();
         let plan = FaultPlan::new(FaultSpec::quiet(6).with_drop_p(1.0));
@@ -2252,7 +2253,9 @@ mod tests {
     #[test]
     fn lagging_helper_leaves_map_stale() {
         let mut k = kernel();
-        let id = k.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+        let id = k
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
         k.udev_rename_device_without_helper("/dev/snd/mic0", "/dev/snd/mic1")
             .unwrap();
         assert_eq!(

@@ -167,19 +167,9 @@ impl MemoryManager {
         self.interpose
     }
 
-    /// Enables/disables interposition (baseline benchmarking).
-    pub fn set_interpose(&mut self, interpose: bool) {
-        self.interpose = interpose;
-    }
-
     /// The wait-list duration.
     pub fn wait_duration(&self) -> SimDuration {
         self.wait_duration
-    }
-
-    /// Reconfigures the wait-list duration (ablation sweeps).
-    pub fn set_wait_duration(&mut self, wait: SimDuration) {
-        self.wait_duration = wait;
     }
 
     /// Counters.

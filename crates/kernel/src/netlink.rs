@@ -180,11 +180,6 @@ impl Netlink {
         }
     }
 
-    /// The trusted executable paths.
-    pub fn trusted_paths(&self) -> &[String] {
-        &self.trusted_exe_paths
-    }
-
     /// Attempts to establish an authenticated connection for `pid`.
     ///
     /// Reproduces the paper's introspection: the peer's mapped executable

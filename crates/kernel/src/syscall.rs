@@ -963,8 +963,12 @@ mod tests {
     fn fixture() -> Fixture {
         let clock = Clock::new();
         let mut kernel = Kernel::new(clock.clone(), KernelConfig::default());
-        kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
-        kernel.attach_device(DeviceClass::Camera, "cam", "/dev/video0");
+        kernel
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
+        kernel
+            .attach_device(DeviceClass::Camera, "cam", "/dev/video0")
+            .expect("attach");
         let x = kernel.sys_spawn(Pid::INIT, XORG_PATH).unwrap();
         let conn = kernel.netlink_connect(x).unwrap();
         let app = kernel.sys_spawn(Pid::INIT, "/usr/bin/app").unwrap();
@@ -1061,7 +1065,9 @@ mod tests {
     fn baseline_kernel_does_not_mediate() {
         let clock = Clock::new();
         let mut kernel = Kernel::new(clock, KernelConfig::baseline());
-        kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+        kernel
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
         let app = kernel.sys_spawn(Pid::INIT, "/usr/bin/app").unwrap();
         // No interaction, yet the open succeeds: classic UNIX semantics.
         assert!(kernel

@@ -48,7 +48,9 @@ impl Fuzz {
     fn new() -> Self {
         let clock = Clock::new();
         let mut kernel = Kernel::new(clock.clone(), KernelConfig::default());
-        kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+        kernel
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
         let pids: Vec<Pid> = (0..6)
             .map(|i| {
                 kernel
@@ -208,7 +210,9 @@ fn delta_boundary_is_exact_for_many_offsets() {
     for base in [0u64, 1, 999, 12_345, 86_400_000] {
         let clock = Clock::starting_at(Timestamp::from_millis(base));
         let mut kernel = Kernel::new(clock.clone(), KernelConfig::default());
-        kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+        kernel
+            .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+            .expect("attach");
         let x = kernel
             .sys_spawn(Pid::INIT, overhaul_kernel::XORG_PATH)
             .unwrap();

@@ -17,7 +17,8 @@
 //!   the chain and reports any tamper as a typed [`LedgerError`] — a
 //!   single flipped bit anywhere in the retained history changes some
 //!   entry's encoding, so its recomputed seal (or a successor's) stops
-//!   matching the stored one.
+//!   matching the stored one. Decoding a ledger runs the same check, so
+//!   a restored ledger's head commits to its entries.
 //! * The audit log is a **view**, not a second store: [`Ledger::audit`]
 //!   borrows the retained entries and yields the non-silent ones
 //!   (entries marked `silent` carry structured effects only), so the
@@ -565,12 +566,14 @@ impl Ledger {
     }
 
     /// Parses a ledger serialized by [`Ledger::to_bytes`]. Seals and
-    /// sequence numbers are restored verbatim — run
-    /// [`Ledger::verify_chain`] to validate them.
+    /// sequence numbers are restored verbatim and chain-verified, as in
+    /// every ledger decode.
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`] from a truncated or corrupt input.
+    /// Any [`SnapshotError`] from a truncated or corrupt input;
+    /// [`SnapshotError::BrokenChain`] when the entries do not chain from
+    /// the base head.
     pub fn from_bytes(bytes: &[u8]) -> Result<Ledger, SnapshotError> {
         let container = Snapshot::from_bytes(bytes)?;
         let mut dec = Dec::new(container.state());
@@ -990,18 +993,27 @@ mod pack {
     // Hand-written (not `impl_pack!`): `scratch` is an append-time staging
     // buffer, not history, so only the chain anchors and the sealed
     // entries are serialized and every byte past the container framing is
-    // covered by the chain.
+    // covered by the chain. In digest mode the entries give way to the
+    // next sequence number and the head, which commit to them because
+    // decode refuses any ledger whose entries do not chain from its base.
     impl Pack for Ledger {
         fn pack(&self, enc: &mut Enc) {
             self.base_seq.pack(enc);
             self.base_head.pack(enc);
-            self.entries.pack(enc);
+            if enc.is_digest() {
+                self.next_seq().pack(enc);
+                self.head().pack(enc);
+            } else {
+                self.entries.pack(enc);
+            }
         }
         fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
             let base_seq = Pack::unpack(dec)?;
             let base_head = Pack::unpack(dec)?;
             let entries: Vec<SealedEntry> = Pack::unpack(dec)?;
-            Ok(Ledger::from_parts(base_seq, base_head, entries))
+            let ledger = Ledger::from_parts(base_seq, base_head, entries);
+            ledger.verify_chain().map_err(SnapshotError::BrokenChain)?;
+            Ok(ledger)
         }
     }
 

@@ -3,13 +3,18 @@
 //! The checkpoint/restore subsystem (`System::snapshot` / `System::restore`
 //! in `overhaul-core`) needs a serialization format that is *byte-stable*:
 //! the same simulation state must always encode to the same bytes, because
-//! the canonical [`Snapshot::state_hash`] — the value record/replay uses to
-//! detect divergence — is a hash of the encoded state section. This module
-//! provides that format:
+//! the canonical state hash — the value record/replay uses to detect
+//! divergence — is a hash of the encoded state. This module provides that
+//! format:
 //!
 //! * [`Enc`] / [`Dec`] — a little-endian binary writer/reader pair with
 //!   explicit error reporting ([`SnapshotError`]), no self-description and
-//!   no framing overhead beyond length prefixes.
+//!   no framing overhead beyond length prefixes. [`Enc::digest`] opens the
+//!   encoder in *digest mode*, which writes the same field list with each
+//!   [`Hashed`] component as its 8-byte digest and each ledger as its chain
+//!   anchors: the bytes `System::state_hash` hashes.
+//! * [`Hashed`] — a state component carrying a cached digest of its
+//!   encoding, dropped whenever the component is borrowed mutably.
 //! * [`Pack`] — the codec trait. Implementations exist for primitives,
 //!   strings, `Option`/`Vec`/`VecDeque`/`BTreeMap`/`BTreeSet`, fixed-size
 //!   arrays, and tuples. `HashMap`s are encoded *sorted by key* so the
@@ -35,12 +40,15 @@
 //! sets) are deliberately *not* representable here: restore rebuilds them,
 //! so a restore is also a coherence check of every cache rebuild path.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
+use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
 use crate::ids::{Fd, Pid, Uid};
+use crate::ledger::LedgerError;
 use crate::time::{SimDuration, Timestamp};
 
 /// Magic tag opening every serialized snapshot (`OVSN`).
@@ -65,6 +73,8 @@ pub enum SnapshotError {
     BadUtf8,
     /// Bytes remained after the last expected field.
     TrailingBytes(usize),
+    /// A decoded ledger's entries do not chain from its base head.
+    BrokenChain(LedgerError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -80,6 +90,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after the last field")
             }
+            SnapshotError::BrokenChain(err) => write!(f, "broken ledger chain: {err}"),
         }
     }
 }
@@ -90,12 +101,30 @@ impl std::error::Error for SnapshotError {}
 #[derive(Debug, Clone, Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    /// `Some` in digest mode: the one buffer every [`Hashed`] component
+    /// without a cached digest encodes through.
+    scratch: Option<Vec<u8>>,
 }
 
 impl Enc {
     /// An empty encoder.
     pub fn new() -> Self {
         Enc::default()
+    }
+
+    /// An empty encoder in digest mode: a [`Hashed`] field writes its
+    /// 8-byte digest and a ledger its chain anchors instead of their
+    /// encodings. The result is hashed, never decoded.
+    pub fn digest() -> Self {
+        Enc {
+            buf: Vec::new(),
+            scratch: Some(Vec::new()),
+        }
+    }
+
+    /// Whether this encoder is in digest mode ([`Enc::digest`]).
+    pub(crate) fn is_digest(&self) -> bool {
+        self.scratch.is_some()
     }
 
     /// Truncates to empty, keeping the allocation. Hot loops (ledger
@@ -593,13 +622,86 @@ macro_rules! impl_pack_newtype {
     };
 }
 
+/// A state component with a cached digest: [`hash64`] of its encoding.
+///
+/// Digest-mode encoders ([`Enc::digest`]) write the digest instead of the
+/// encoding, computing it only when the cell is empty. Every mutable
+/// borrow goes through [`DerefMut`], which empties the cell, so only a
+/// component borrowed mutably since the last state hash is encoded again.
+/// A decoded component starts with no digest, so a missed invalidation
+/// shows up as a live hash that differs from the restored machine's.
+///
+/// Components that change without a `&mut` borrow (a shared clock, a
+/// fault plan behind a mutex) must not be wrapped.
+pub struct Hashed<T> {
+    value: T,
+    digest: Cell<Option<u64>>,
+}
+
+impl<T> Hashed<T> {
+    /// Wraps `value` with no digest yet.
+    pub fn new(value: T) -> Self {
+        Hashed {
+            value,
+            digest: Cell::new(None),
+        }
+    }
+}
+
+impl<T> Deref for Hashed<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for Hashed<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        *self.digest.get_mut() = None;
+        &mut self.value
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Hashed<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.value.fmt(f)
+    }
+}
+
+impl<T: Pack> Pack for Hashed<T> {
+    fn pack(&self, enc: &mut Enc) {
+        let Some(scratch) = enc.scratch.as_mut() else {
+            return self.value.pack(enc);
+        };
+        let digest = self.digest.get().unwrap_or_else(|| {
+            // The full encoding goes through the digest-mode encoder's one
+            // scratch buffer, so a state hash allocates once for all its
+            // components.
+            let mut full = Enc {
+                buf: std::mem::take(scratch),
+                scratch: None,
+            };
+            full.buf.clear();
+            self.value.pack(&mut full);
+            let digest = hash64(&full.buf);
+            *scratch = full.buf;
+            self.digest.set(Some(digest));
+            digest
+        });
+        enc.put_u64(digest);
+    }
+    fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(Hashed::new(T::unpack(dec)?))
+    }
+}
+
 /// A versioned checkpoint of one simulated machine.
 ///
 /// Two sections:
 ///
 /// * **state** — everything record/replay must reproduce byte-for-byte:
 ///   kernel, display manager, clock, RNG positions, fault-plan schedule.
-///   [`Snapshot::state_hash`] hashes exactly this section.
+///   The machine's state hash commits to exactly this content.
 /// * **aux** — observability state that restore carries forward but that is
 ///   *not* part of the canonical state: the trace buffer prefix and the
 ///   metrics registry (some histograms observe on derived-cache misses, so
@@ -627,7 +729,7 @@ impl Snapshot {
         self.version
     }
 
-    /// The canonical (hashed) state section.
+    /// The canonical state section.
     pub fn state(&self) -> &[u8] {
         &self.state
     }
@@ -635,11 +737,6 @@ impl Snapshot {
     /// The auxiliary (unhashed) section.
     pub fn aux(&self) -> &[u8] {
         &self.aux
-    }
-
-    /// The canonical hash ([`hash64`]) of the state section.
-    pub fn state_hash(&self) -> u64 {
-        hash64(&self.state)
     }
 
     /// Total serialized size, including the header and length prefixes.
@@ -976,7 +1073,6 @@ mod tests {
         let back = Snapshot::from_bytes(&bytes).expect("parse");
         assert_eq!(back, snap);
         assert_eq!(back.version(), SNAPSHOT_VERSION);
-        assert_eq!(back.state_hash(), snap.state_hash());
     }
 
     #[test]
@@ -1011,13 +1107,77 @@ mod tests {
         );
     }
 
+    /// [`hash64`] of `value` written in digest mode.
+    fn digest_hash<T: Pack>(value: &T) -> u64 {
+        let mut enc = Enc::digest();
+        value.pack(&mut enc);
+        hash64(enc.bytes())
+    }
+
     #[test]
-    fn state_hash_depends_only_on_state_section() {
-        let a = Snapshot::new(vec![1, 2, 3], vec![9, 9]);
-        let b = Snapshot::new(vec![1, 2, 3], vec![]);
-        let c = Snapshot::new(vec![1, 2, 4], vec![9, 9]);
-        assert_eq!(a.state_hash(), b.state_hash());
-        assert_ne!(a.state_hash(), c.state_hash());
+    fn hashed_writes_its_digest_only_in_digest_mode() {
+        let value = (String::from("mic"), vec![1u64, 2, 3]);
+        let mut full = Enc::new();
+        value.pack(&mut full);
+        let hashed = Hashed::new(value.clone());
+
+        // Full mode: the encoding, byte for byte, and no digest cached.
+        let mut enc = Enc::new();
+        hashed.pack(&mut enc);
+        assert_eq!(enc.bytes(), full.bytes());
+        assert_eq!(hashed.digest.get(), None);
+
+        // Digest mode: the 8-byte hash of that encoding, then cached.
+        let mut enc = Enc::digest();
+        hashed.pack(&mut enc);
+        assert_eq!(enc.bytes(), hash64(full.bytes()).to_le_bytes());
+        assert_eq!(hashed.digest.get(), Some(hash64(full.bytes())));
+        roundtrip_hashed(&hashed);
+    }
+
+    /// A decoded component re-encodes to its bytes and starts cold.
+    fn roundtrip_hashed<T: Pack + PartialEq + std::fmt::Debug>(hashed: &Hashed<T>) {
+        let mut enc = Enc::new();
+        hashed.pack(&mut enc);
+        let back = Hashed::<T>::unpack(&mut Dec::new(enc.bytes())).expect("unpack");
+        assert_eq!(*back, **hashed);
+        assert_eq!(back.digest.get(), None);
+    }
+
+    #[test]
+    fn a_mutable_borrow_drops_the_digest() {
+        let mut hashed = Hashed::new(vec![7u64]);
+        let before = digest_hash(&hashed);
+        assert_eq!(hashed.len(), 1, "shared borrows keep the digest");
+        assert!(hashed.digest.get().is_some());
+        hashed.push(8);
+        assert_eq!(hashed.digest.get(), None);
+        let after = digest_hash(&hashed);
+        assert_ne!(after, before);
+        assert_eq!(after, digest_hash(&Hashed::new(vec![7u64, 8])));
+    }
+
+    #[test]
+    fn digest_mode_reuses_one_scratch_buffer_across_fields() {
+        // Two cold components and a plain field between them: each digest
+        // is its own encoding's hash, whatever the scratch held before.
+        let a = Hashed::new(vec![String::from("long enough to grow the buffer"); 4]);
+        let b = Hashed::new(3u32);
+        let mut enc = Enc::digest();
+        a.pack(&mut enc);
+        9u8.pack(&mut enc);
+        b.pack(&mut enc);
+        let mut expected = Enc::new();
+        hash64(&{
+            let mut e = Enc::new();
+            a.value.pack(&mut e);
+            e.into_bytes()
+        })
+        .pack(&mut expected);
+        9u8.pack(&mut expected);
+        hash64(&3u32.to_le_bytes()).pack(&mut expected);
+        assert_eq!(enc.bytes(), expected.bytes());
+        assert!(enc.is_digest() && !Enc::new().is_digest());
     }
 
     #[test]
@@ -1204,13 +1364,14 @@ mod tests {
     #[test]
     fn corrupt_state_flips_the_canonical_hash() {
         // Corruption that *does* parse must still be caught one layer up:
-        // the canonical hash over the state section moves.
+        // the digest-mode hash of the state it decodes to moves, although
+        // the decoded component starts with no cached digest.
         let good = nested_snapshot_bytes();
         let snap = Snapshot::from_bytes(&good).unwrap();
+        let decode = |state: &[u8]| Hashed::<Nested>::unpack(&mut Dec::new(state)).unwrap();
+        let original_hash = digest_hash(&decode(snap.state()));
         let mut state = snap.state().to_vec();
-        let original_hash = snap.state_hash();
         *state.last_mut().unwrap() ^= 0x01;
-        let tampered = Snapshot::new(state, snap.aux().to_vec());
-        assert_ne!(tampered.state_hash(), original_hash);
+        assert_ne!(digest_hash(&decode(&state)), original_hash);
     }
 }

@@ -58,17 +58,19 @@ impl fmt::Display for Timestamp {
     }
 }
 
+/// Saturates at the end of time (`u64::MAX` ms), in every build profile:
+/// a deadline past the end of time never wraps to the past.
 impl Add<SimDuration> for Timestamp {
     type Output = Timestamp;
 
     fn add(self, rhs: SimDuration) -> Timestamp {
-        Timestamp(self.0 + rhs.0)
+        self.saturating_add(rhs)
     }
 }
 
 impl AddAssign<SimDuration> for Timestamp {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = self.saturating_add(rhs);
     }
 }
 
@@ -124,11 +126,12 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// Saturates at `u64::MAX` ms, like `Timestamp + SimDuration`.
 impl Add for SimDuration {
     type Output = SimDuration;
 
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -177,9 +180,16 @@ impl Clock {
         Timestamp(self.now_ms.load(Ordering::SeqCst))
     }
 
-    /// Advances the clock by `d` and returns the new instant.
-    pub fn advance(&self, d: SimDuration) -> Timestamp {
-        Timestamp(self.now_ms.fetch_add(d.as_millis(), Ordering::SeqCst) + d.as_millis())
+    /// Advances the clock by `d` and returns the new instant. An advance
+    /// past the end of time (`u64::MAX` ms) is refused: the clock stays
+    /// where it is and the result is `None`, in every build profile.
+    pub fn advance(&self, d: SimDuration) -> Option<Timestamp> {
+        self.now_ms
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |now| {
+                now.checked_add(d.as_millis())
+            })
+            .ok()
+            .map(|before| Timestamp(before + d.as_millis()))
     }
 
     /// Returns `true` if this handle and `other` observe the same underlying
@@ -235,7 +245,28 @@ mod tests {
     fn advance_returns_new_now() {
         let clock = Clock::new();
         let t = clock.advance(SimDuration::from_millis(7));
-        assert_eq!(t, clock.now());
+        assert_eq!(t, Some(clock.now()));
+    }
+
+    #[test]
+    fn time_ends_without_wrapping() {
+        let clock = Clock::starting_at(Timestamp::from_millis(1));
+        assert_eq!(clock.advance(SimDuration::from_millis(u64::MAX)), None);
+        assert_eq!(clock.now(), Timestamp::from_millis(1), "refused: unchanged");
+        let end = Timestamp::from_millis(u64::MAX);
+        assert_eq!(
+            clock.advance(SimDuration::from_millis(u64::MAX - 1)),
+            Some(end)
+        );
+        assert_eq!(clock.advance(SimDuration::from_millis(1)), None);
+        assert_eq!(clock.advance(SimDuration::ZERO), Some(end));
+        let mut t = end + SimDuration::from_secs(2);
+        t += SimDuration::from_millis(1);
+        assert_eq!(t, end, "deadlines saturate at the end of time");
+        assert_eq!(
+            SimDuration::from_millis(u64::MAX) + SimDuration::from_millis(1),
+            SimDuration::from_millis(u64::MAX)
+        );
     }
 
     #[test]

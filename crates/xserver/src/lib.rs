@@ -58,6 +58,7 @@ pub mod window;
 
 use std::borrow::Cow;
 
+use overhaul_sim::snapshot::Hashed;
 use overhaul_sim::work::{self, ModelledCost};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, Ledger, LedgerEntry, Pid, SimDuration, Timestamp, TraceValue,
@@ -119,12 +120,14 @@ impl XConfig {
 #[derive(Debug)]
 pub struct XServer {
     clock: Clock,
-    config: XConfig,
-    clients: ClientRegistry,
-    windows: WindowTree,
-    selections: SelectionTable,
-    alerts: AlertManager,
-    prompts: PromptSurface,
+    // Components behind `Hashed` cache their state-hash digest until next
+    // borrowed mutably (see `overhaul_sim::snapshot::Hashed`).
+    config: Hashed<XConfig>,
+    clients: Hashed<ClientRegistry>,
+    windows: Hashed<WindowTree>,
+    selections: Hashed<SelectionTable>,
+    alerts: Hashed<AlertManager>,
+    prompts: Hashed<PromptSurface>,
     focus: Option<WindowId>,
     /// Hash-chained authoritative history; the audit log is a view of its
     /// non-silent entries.
@@ -145,12 +148,12 @@ impl XServer {
         let prompts = PromptSurface::new(config.shared_secret.clone());
         XServer {
             clock,
-            config,
-            clients: ClientRegistry::new(),
-            windows: WindowTree::new(),
-            selections: SelectionTable::new(),
-            alerts,
-            prompts,
+            config: Hashed::new(config),
+            clients: Hashed::new(ClientRegistry::new()),
+            windows: Hashed::new(WindowTree::new()),
+            selections: Hashed::new(SelectionTable::new()),
+            alerts: Hashed::new(alerts),
+            prompts: Hashed::new(prompts),
             focus: None,
             ledger: Ledger::new(),
             tracer: Tracer::disabled(),
@@ -180,16 +183,6 @@ impl XServer {
     /// Current configuration.
     pub fn config(&self) -> &XConfig {
         &self.config
-    }
-
-    /// Flips the Overhaul enhancements on or off.
-    pub fn set_overhaul_enabled(&mut self, enabled: bool) {
-        self.config.overhaul_enabled = enabled;
-    }
-
-    /// Reconfigures the clickjacking visibility threshold (ablations).
-    pub fn set_visibility_threshold(&mut self, threshold: SimDuration) {
-        self.config.visibility_threshold = threshold;
     }
 
     /// The display manager's audit log: a view of the hash-chained

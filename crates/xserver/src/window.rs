@@ -360,11 +360,6 @@ impl WindowTree {
         &self.stacking
     }
 
-    /// All windows owned by `client`.
-    pub fn windows_of(&self, client: ClientId) -> impl Iterator<Item = &Window> {
-        self.windows_by_id().filter(move |w| w.owner == client)
-    }
-
     /// Number of windows.
     pub fn len(&self) -> usize {
         self.arena.len()

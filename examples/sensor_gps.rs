@@ -20,7 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and the trusted helper registers it with the kernel map.
     machine
         .kernel_mut()
-        .attach_device(DeviceClass::Sensor, "usb gps", "/dev/gps0");
+        .attach_device(DeviceClass::Sensor, "usb gps", "/dev/gps0")
+        .expect("attach");
     println!("hot-plugged /dev/gps0 (sensor class) — mediated from the first instant");
 
     // A stealthy location tracker polls the GPS in the background.

@@ -228,7 +228,7 @@ fn audit_timeline_example_output_is_pinned() {
             hash64(machine.metrics().as_bytes()),
         ),
         (
-            0x90e8_32cd_5257_3bb8,
+            0x8136_63a6_ae1d_75e0,
             0xcb79_e7f9_9813_b7b6,
             0x2723_a1a9_6cea_21dd
         ),

@@ -102,7 +102,9 @@ struct Harness {
 fn harness() -> Harness {
     let clock = Clock::new();
     let mut kernel = Kernel::new(clock.clone(), KernelConfig::default());
-    kernel.attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0");
+    kernel
+        .attach_device(DeviceClass::Microphone, "mic", "/dev/snd/mic0")
+        .expect("attach");
     let x_pid = kernel.sys_spawn(Pid::INIT, XORG_PATH).unwrap();
     let conn = kernel.netlink_connect(x_pid).unwrap();
     kernel.set_channel_required(true);
@@ -370,7 +372,9 @@ fn faulted_machine_decisions_match_the_legacy_shape() {
 fn kernel_fixture() -> (Clock, Kernel, Pid) {
     let clock = Clock::new();
     let mut kernel = Kernel::new(clock.clone(), KernelConfig::default());
-    kernel.attach_device(DeviceClass::Camera, "cam", "/dev/video0");
+    kernel
+        .attach_device(DeviceClass::Camera, "cam", "/dev/video0")
+        .expect("attach");
     let app = kernel.sys_spawn(Pid::INIT, "/usr/bin/app").unwrap();
     (clock, kernel, app)
 }

@@ -20,7 +20,9 @@
 //! but it is a pure function of the events applied: a replay charges
 //! exactly what the recording charged for the same events.
 
-use overhaul_core::{replay, replay_from, Event, EventLog, Gui, OverhaulConfig, Recorder, System};
+use overhaul_core::{
+    replay, replay_from, ApplyOutcome, Event, EventLog, Gui, OverhaulConfig, Recorder, System,
+};
 use overhaul_sim::snapshot::Snapshot;
 use overhaul_sim::{FaultSpec, ModelledCost, Pid, SimDuration, SimRng};
 use overhaul_xserver::geometry::Rect;
@@ -36,6 +38,28 @@ fn faulted_config(seed: u64) -> OverhaulConfig {
     )
 }
 
+/// Applies `event`; with `check_digests`, then demands that the live
+/// state hash, read through whatever component digests the machine has
+/// cached, equal the hash of the same state restored from a snapshot,
+/// whose digests all start empty. A mutation that kept a stale digest
+/// fails here, at the event that made it.
+fn apply(rec: &mut Recorder, event: Event, check_digests: bool) -> ApplyOutcome {
+    let outcome = rec.apply(event);
+    if check_digests {
+        let live = rec.system().state_hash();
+        let cold = System::from_snapshot(&rec.snapshot())
+            .expect("restore")
+            .state_hash();
+        assert_eq!(
+            live,
+            cold,
+            "cached digest went stale at event {}",
+            rec.events_recorded()
+        );
+    }
+    outcome
+}
+
 /// The system_soak workload shape, expressed purely in recordable
 /// [`Event`]s: every input the soak would issue crosses the recorder.
 struct RecordedSoak {
@@ -44,37 +68,44 @@ struct RecordedSoak {
     apps: Vec<Gui>,
     spy: Pid,
     spy_client: ClientId,
+    check_digests: bool,
 }
 
 impl RecordedSoak {
-    fn new(seed: u64) -> Self {
+    fn new(seed: u64, check_digests: bool) -> Self {
         let mut rec = Recorder::new(faulted_config(seed));
         let apps = (0..4)
             .map(|i| {
-                rec.apply(Event::LaunchGuiApp {
+                let launch = Event::LaunchGuiApp {
                     exe: format!("/usr/bin/app{i}"),
                     rect: Rect::new(i * 220, 0, 200, 200),
-                })
-                .gui()
-                .expect("launch")
+                };
+                apply(&mut rec, launch, check_digests)
+                    .gui()
+                    .expect("launch")
             })
             .collect::<Vec<_>>();
-        rec.apply(Event::Settle);
-        let spy = rec
-            .apply(Event::SpawnProcess {
-                parent: None,
-                exe: "/usr/bin/.spy".into(),
-            })
+        apply(&mut rec, Event::Settle, check_digests);
+        let spawn = Event::SpawnProcess {
+            parent: None,
+            exe: "/usr/bin/.spy".into(),
+        };
+        let spy = apply(&mut rec, spawn, check_digests)
             .pid()
             .expect("spawn spy");
-        let spy_client = rec.apply(Event::ConnectX { pid: spy }).client();
+        let spy_client = apply(&mut rec, Event::ConnectX { pid: spy }, check_digests).client();
         RecordedSoak {
             rec,
             rng: SimRng::seeded(seed),
             apps,
             spy,
             spy_client,
+            check_digests,
         }
+    }
+
+    fn apply(&mut self, event: Event) -> ApplyOutcome {
+        apply(&mut self.rec, event, self.check_digests)
     }
 
     fn step(&mut self) {
@@ -82,40 +113,38 @@ impl RecordedSoak {
         match self.rng.range(0, 10) {
             // Legit: raise, click, then open a device quickly.
             0..=2 => {
-                let _ = self.rec.apply(Event::XRequest {
+                let _ = self.apply(Event::XRequest {
                     client: app.client,
                     request: Request::RaiseWindow { window: app.window },
                 });
-                self.rec.apply(Event::Settle);
-                self.rec.apply(Event::ClickWindow { window: app.window });
-                self.rec.apply(Event::Advance(SimDuration::from_millis(
-                    self.rng.range(10, 1_500),
-                )));
+                self.apply(Event::Settle);
+                self.apply(Event::ClickWindow { window: app.window });
+                let wait = SimDuration::from_millis(self.rng.range(10, 1_500));
+                self.apply(Event::Advance(wait));
                 let path = if self.rng.chance(0.5) {
                     "/dev/snd/mic0"
                 } else {
                     "/dev/video0"
                 };
                 if let Ok(fd) = self
-                    .rec
                     .apply(Event::OpenDevice {
                         pid: app.pid,
                         path: path.into(),
                     })
                     .fd()
                 {
-                    self.rec.apply(Event::SysClose { pid: app.pid, fd });
+                    self.apply(Event::SysClose { pid: app.pid, fd });
                 }
             }
             // Legit: clipboard copy after a click.
             3..=4 => {
-                let _ = self.rec.apply(Event::XRequest {
+                let _ = self.apply(Event::XRequest {
                     client: app.client,
                     request: Request::RaiseWindow { window: app.window },
                 });
-                self.rec.apply(Event::Settle);
-                self.rec.apply(Event::ClickWindow { window: app.window });
-                let _ = self.rec.apply(Event::XRequest {
+                self.apply(Event::Settle);
+                self.apply(Event::ClickWindow { window: app.window });
+                let _ = self.apply(Event::XRequest {
                     client: app.client,
                     request: Request::SetSelectionOwner {
                         selection: Atom::clipboard(),
@@ -125,15 +154,15 @@ impl RecordedSoak {
             }
             // Attack: spyware cycle — device grabs and a screen capture.
             5..=6 => {
-                let _ = self.rec.apply(Event::OpenDevice {
+                let _ = self.apply(Event::OpenDevice {
                     pid: self.spy,
                     path: "/dev/snd/mic0".into(),
                 });
-                let _ = self.rec.apply(Event::OpenDevice {
+                let _ = self.apply(Event::OpenDevice {
                     pid: self.spy,
                     path: "/dev/video0".into(),
                 });
-                let _ = self.rec.apply(Event::XRequest {
+                let _ = self.apply(Event::XRequest {
                     client: self.spy_client,
                     request: Request::GetImage { window: None },
                 });
@@ -141,7 +170,7 @@ impl RecordedSoak {
             // Attack: synthetic input flood at a random app.
             7 => {
                 for _ in 0..4 {
-                    let _ = self.rec.apply(Event::XRequest {
+                    let _ = self.apply(Event::XRequest {
                         client: self.spy_client,
                         request: Request::SendEvent {
                             target: app.window,
@@ -152,7 +181,7 @@ impl RecordedSoak {
                             }),
                         },
                     });
-                    let _ = self.rec.apply(Event::XRequest {
+                    let _ = self.apply(Event::XRequest {
                         client: self.spy_client,
                         request: Request::XTestFakeInput {
                             payload: InputPayload::Key { ch: 'x' },
@@ -163,14 +192,14 @@ impl RecordedSoak {
             }
             // Time passes.
             _ => {
-                self.rec.apply(Event::Advance(SimDuration::from_millis(
-                    self.rng.range(100, 10_000),
-                )));
+                let idle = SimDuration::from_millis(self.rng.range(100, 10_000));
+                self.apply(Event::Advance(idle));
             }
         }
         // Apps drain their event queues, as real clients would.
-        for gui in &self.apps {
-            let _ = self.rec.apply(Event::DrainEvents { client: gui.client });
+        for i in 0..self.apps.len() {
+            let client = self.apps[i].client;
+            let _ = self.apply(Event::DrainEvents { client });
         }
     }
 }
@@ -180,7 +209,13 @@ impl RecordedSoak {
 /// sealed log, the mid-run snapshot, the event index it was taken at, and
 /// the recorder's modelled cost at that point.
 fn record_soak(seed: u64, steps: usize) -> (System, EventLog, Snapshot, usize, ModelledCost) {
-    let mut soak = RecordedSoak::new(seed);
+    record(RecordedSoak::new(seed, false), steps)
+}
+
+fn record(
+    mut soak: RecordedSoak,
+    steps: usize,
+) -> (System, EventLog, Snapshot, usize, ModelledCost) {
     let mut checkpoint = None;
     for i in 0..steps {
         if i == steps / 2 {
@@ -193,15 +228,15 @@ fn record_soak(seed: u64, steps: usize) -> (System, EventLog, Snapshot, usize, M
         }
         // A crash roughly every 90 steps, restarted ~10 steps later.
         if i % 90 == 40 && soak.rec.system().x_alive() {
-            soak.rec.apply(Event::CrashX);
+            soak.apply(Event::CrashX);
         }
         if i % 90 == 50 && !soak.rec.system().x_alive() {
-            let _ = soak.rec.apply(Event::RestartX);
+            let _ = soak.apply(Event::RestartX);
         }
         soak.step();
     }
     if !soak.rec.system().x_alive() {
-        let _ = soak.rec.apply(Event::RestartX);
+        let _ = soak.apply(Event::RestartX);
     }
     let (snap, at, cost) = checkpoint.expect("steps / 2 reached");
     let (recorded, log) = soak.rec.finish();
@@ -261,6 +296,15 @@ fn second_seed_replays_byte_identically_both_ways() {
     let resumed = replay_from(&snap, log.suffix(at), log.final_state_hash).expect("restore");
     assert_eq!(resumed.state_hash(), recorded.state_hash());
     assert_eq!(resumed.trace_dump(), recorded.trace_dump());
+}
+
+/// Differential check of the cached component digests: after every event
+/// of the faulted, traced soak, the live hash equals a cold restore's.
+#[test]
+fn cached_digests_match_a_cold_restore_after_every_event() {
+    let (recorded, log, _, _, _) = record(RecordedSoak::new(42, true), 120);
+    let replayed = replay(&log).expect("replay boots");
+    assert_eq!(replayed.state_hash(), recorded.state_hash());
 }
 
 #[test]

@@ -13,7 +13,7 @@ use overhaul_core::{apply_event, replay, Event, EventLog, Gui, OverhaulConfig, R
 use overhaul_fleet::FailureTriple;
 use overhaul_fleet::{run_shard, FleetWorkload, ShardBeat, ShardOutcome, ShardPlan};
 use overhaul_kernel::error::Errno;
-use overhaul_sim::{Enc, Pack, SimDuration, SimRng, Snapshot, SnapshotError};
+use overhaul_sim::{Enc, LedgerError, Pack, SimDuration, SimRng, Snapshot, SnapshotError};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{ClientId, Reply, Request};
 use overhaul_xserver::window::WindowId;
@@ -177,6 +177,41 @@ fn corrupt_failure_triples_error_cleanly_and_clean_ones_survive() {
         }))
         .expect("FailureTriple::from_bytes panicked on corrupt input");
     }
+}
+
+/// A sealed entry edited under its intact seal: decode re-derives each
+/// ledger's chain from its base head, so the restore is refused with a
+/// typed error instead of yielding a machine whose ledger head no longer
+/// commits to its entries (the state hash reads a ledger by its head).
+#[test]
+fn a_ledger_entry_edited_under_its_seal_is_refused() {
+    let (mut system, _, _) = recorded_machine();
+    let snap = system.snapshot();
+    let mut ledger = Enc::new();
+    system.kernel_ledger().pack(&mut ledger);
+    let ledger = ledger.into_bytes();
+    let at = snap
+        .state()
+        .windows(ledger.len())
+        .position(|bytes| bytes == ledger.as_slice())
+        .expect("the kernel ledger is packed whole");
+    // Base sequence number, base head and entry count, then the first
+    // entry's sequence number and seal: its body opens with its time.
+    let first_body = at + 5 * 8;
+    let mut state = snap.state().to_vec();
+    state[first_body] ^= 1;
+    let edited = Snapshot::new(state, snap.aux().to_vec());
+    assert!(
+        matches!(
+            System::from_snapshot(&edited).err(),
+            Some(SnapshotError::BrokenChain(LedgerError::ChainMismatch {
+                seq: 0,
+                ..
+            }))
+        ),
+        "an edited entry restored"
+    );
+    assert!(System::from_snapshot(&snap).is_ok());
 }
 
 /// The window every test below launches: 40×30 at (123, 45).

@@ -15,7 +15,8 @@ fn hotplugged_device_is_mediated_immediately() {
     // A USB webcam appears at runtime.
     machine
         .kernel_mut()
-        .attach_device(DeviceClass::Camera, "usb webcam", "/dev/video9");
+        .attach_device(DeviceClass::Camera, "usb webcam", "/dev/video9")
+        .expect("attach");
     let spy = machine.spawn_process(None, "/usr/bin/.spy").unwrap();
     assert_eq!(
         machine.open_device(spy, "/dev/video9"),
@@ -81,7 +82,8 @@ fn sensor_class_devices_are_protected_too() {
     let mut machine = System::protected();
     machine
         .kernel_mut()
-        .attach_device(DeviceClass::Sensor, "gps", "/dev/gps0");
+        .attach_device(DeviceClass::Sensor, "gps", "/dev/gps0")
+        .expect("attach");
     let tracker = machine.spawn_process(None, "/usr/bin/.tracker").unwrap();
     assert_eq!(
         machine.open_device(tracker, "/dev/gps0"),
