@@ -684,31 +684,11 @@ impl CampaignDriver {
         &mut self.actors[slot]
     }
 
-    fn pid(&self, slot: usize) -> Pid {
-        self.actor(slot).pid.expect("campaign actor has no pid yet")
-    }
-
-    fn client(&self, slot: usize) -> ClientId {
-        self.actor(slot)
-            .client
-            .expect("campaign actor has no X client yet")
-    }
-
-    fn window(&self, slot: usize) -> WindowId {
-        self.actor(slot)
-            .window
-            .expect("campaign actor has no window yet")
-    }
-
-    fn vma(&self, slot: usize) -> VmaId {
-        self.actor(slot)
-            .vma
-            .expect("campaign actor has no shm mapping yet")
-    }
-
-    /// Resolves one action into the single event it records as.
-    pub fn resolve(&self, system: &System, action: &StageAction) -> Event {
-        match action {
+    /// Resolves one action into the single event it records as, or
+    /// `None` when the actor lacks a handle the event needs (a launch that
+    /// failed left its pid, client or window unbound).
+    pub fn resolve(&self, system: &System, action: &StageAction) -> Option<Event> {
+        Some(match action {
             StageAction::Launch { exe, rect, .. } => Event::LaunchGuiApp {
                 exe: (*exe).to_string(),
                 rect: *rect,
@@ -718,22 +698,22 @@ impl CampaignDriver {
                 exe: (*exe).to_string(),
             },
             StageAction::Connect { actor } => Event::ConnectX {
-                pid: self.pid(*actor),
+                pid: self.actor(*actor).pid?,
             },
             StageAction::CreateWindow { actor, rect } => Event::XRequest {
-                client: self.client(*actor),
+                client: self.actor(*actor).client?,
                 request: Request::CreateWindow { rect: *rect },
             },
             StageAction::MapWindow { actor } => Event::XRequest {
-                client: self.client(*actor),
+                client: self.actor(*actor).client?,
                 request: Request::MapWindow {
-                    window: self.window(*actor),
+                    window: self.actor(*actor).window?,
                 },
             },
             StageAction::RaiseWindow { actor } => Event::XRequest {
-                client: self.client(*actor),
+                client: self.actor(*actor).client?,
                 request: Request::RaiseWindow {
-                    window: self.window(*actor),
+                    window: self.actor(*actor).window?,
                 },
             },
             StageAction::Advance(d) => Event::Advance(*d),
@@ -742,12 +722,12 @@ impl CampaignDriver {
             ),
             StageAction::Settle => Event::Settle,
             StageAction::ClickActor { actor } => Event::ClickWindow {
-                window: self.window(*actor),
+                window: self.actor(*actor).window?,
             },
             StageAction::SendEventClick { actor } => {
-                let window = self.window(*actor);
+                let window = self.actor(*actor).window?;
                 Event::XRequest {
-                    client: self.client(*actor),
+                    client: self.actor(*actor).client?,
                     request: Request::SendEvent {
                         target: window,
                         event: Box::new(XEvent::Input {
@@ -759,45 +739,45 @@ impl CampaignDriver {
                 }
             }
             StageAction::XTestClick { actor } => Event::XRequest {
-                client: self.client(*actor),
+                client: self.actor(*actor).client?,
                 request: Request::XTestFakeInput {
                     payload: InputPayload::Button { x: 1, y: 1 },
-                    target: self.window(*actor),
+                    target: self.actor(*actor).window?,
                 },
             },
             StageAction::OpenDevice { actor, path } => Event::OpenDevice {
-                pid: self.pid(*actor),
+                pid: self.actor(*actor).pid?,
                 path: (*path).to_string(),
             },
             StageAction::GetImage { actor } => Event::XRequest {
-                client: self.client(*actor),
+                client: self.actor(*actor).client?,
                 request: Request::GetImage { window: None },
             },
             StageAction::Fork { parent, .. } => Event::SysFork {
-                pid: self.pid(*parent),
+                pid: self.actor(*parent).pid?,
             },
             StageAction::ShmGet { actor, key, pages } => Event::SysShmGet {
-                pid: self.pid(*actor),
+                pid: self.actor(*actor).pid?,
                 key: *key,
                 pages: *pages,
             },
             StageAction::ShmAt { actor } => Event::SysShmAt {
-                pid: self.pid(*actor),
-                shm: self.shm.expect("campaign has no shm segment yet"),
+                pid: self.actor(*actor).pid?,
+                shm: self.shm?,
             },
             StageAction::ShmWrite { actor, data } => Event::SysShmWrite {
-                pid: self.pid(*actor),
-                vma: self.vma(*actor),
+                pid: self.actor(*actor).pid?,
+                vma: self.actor(*actor).vma?,
                 offset: 0,
                 data: data.to_vec(),
             },
             StageAction::ShmRead { actor, len } => Event::SysShmRead {
-                pid: self.pid(*actor),
-                vma: self.vma(*actor),
+                pid: self.actor(*actor).pid?,
+                vma: self.actor(*actor).vma?,
                 offset: 0,
                 len: *len,
             },
-        }
+        })
     }
 
     /// Folds an outcome back into the handle table. Replay determinism
@@ -951,30 +931,78 @@ impl CampaignReport {
     }
 }
 
-/// Runs one campaign over a [`Recorder`]: every stage resolves to one
-/// recorded event, judged stages are checked against their expectations,
+/// Where a campaign's stages run: the machine they resolve against, and
+/// the one step that applies and records a resolved stage event. A
+/// [`Recorder`] hosts plain runs; a fleet shard hosts stages in its own
+/// contained step, which can end the campaign with a failure.
+pub trait StageHost {
+    /// Why the host ended the campaign early.
+    type Error;
+
+    /// The live machine.
+    fn system(&self) -> &System;
+
+    /// Applies and records `event`, the resolution of `stage` of
+    /// `campaign`, returning its outcome.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the host stops the campaign for.
+    fn apply_stage(
+        &mut self,
+        campaign: &Campaign,
+        stage: &Stage,
+        event: Event,
+    ) -> Result<ApplyOutcome, Self::Error>;
+}
+
+impl StageHost for Recorder {
+    type Error = std::convert::Infallible;
+
+    fn system(&self) -> &System {
+        Recorder::system(self)
+    }
+
+    fn apply_stage(
+        &mut self,
+        _: &Campaign,
+        _: &Stage,
+        event: Event,
+    ) -> Result<ApplyOutcome, Self::Error> {
+        Ok(self.apply(event))
+    }
+}
+
+/// Runs `campaign` through `host`: every stage resolves to one event the
+/// host applies, judged stages are checked against their expectations,
 /// and the report carries the audit/ledger evidence alongside the
-/// verdicts. `fault_tolerant` should be `false` on fault-free machines
-/// (tests, bench) — see [`judge`].
-pub fn run_campaign(
-    rec: &mut Recorder,
+/// verdicts. The campaign ends at the first stage that cannot resolve,
+/// keeping the stages done so far. `fault_tolerant` should be `false` on
+/// fault-free machines (tests, bench) — see [`judge`].
+///
+/// # Errors
+///
+/// The host's error, when it ends the campaign at a stage.
+pub fn run_stages<H: StageHost>(
+    host: &mut H,
     campaign: &Campaign,
     fault_tolerant: bool,
-) -> CampaignReport {
+) -> Result<CampaignReport, H::Error> {
+    let audit = |system: &System| {
+        let audit = system.x_audit();
+        (
+            audit.count(AuditCategory::ClickjackingSuppressed),
+            audit.count(AuditCategory::SyntheticInputFiltered),
+        )
+    };
+    let (suppressed_before, filtered_before) = audit(host.system());
     let mut driver = CampaignDriver::new();
-    let suppressed_before = rec
-        .system()
-        .x_audit()
-        .count(AuditCategory::ClickjackingSuppressed);
-    let filtered_before = rec
-        .system()
-        .x_audit()
-        .count(AuditCategory::SyntheticInputFiltered);
-
     let mut stages = Vec::with_capacity(campaign.stages.len());
     for stage in &campaign.stages {
-        let event = driver.resolve(rec.system(), &stage.action);
-        let outcome = rec.apply(event.clone());
+        let Some(event) = driver.resolve(host.system(), &stage.action) else {
+            break;
+        };
+        let outcome = host.apply_stage(campaign, stage, event.clone())?;
         driver.absorb(&stage.action, &outcome);
 
         let granted = outcome_granted(&event, &outcome);
@@ -983,7 +1011,7 @@ pub fn run_campaign(
                 .action
                 .probe_actor()
                 .and_then(|a| driver.actor_pid(a))?;
-            rec.system()
+            host.system()
                 .kernel()
                 .explain_last(pid, op)
                 .map(|o| o.trace.kind_str())
@@ -1004,22 +1032,25 @@ pub fn run_campaign(
         });
     }
 
-    CampaignReport {
+    let (suppressed, filtered) = audit(host.system());
+    Ok(CampaignReport {
         name: campaign.name,
         class: campaign.class,
         stages,
-        clickjacking_suppressed: rec
-            .system()
-            .x_audit()
-            .count(AuditCategory::ClickjackingSuppressed)
-            .saturating_sub(suppressed_before),
-        synthetic_filtered: rec
-            .system()
-            .x_audit()
-            .count(AuditCategory::SyntheticInputFiltered)
-            .saturating_sub(filtered_before),
-        ledger_verified: rec.system().verify_ledgers().is_ok(),
-    }
+        clickjacking_suppressed: suppressed.saturating_sub(suppressed_before),
+        synthetic_filtered: filtered.saturating_sub(filtered_before),
+        ledger_verified: host.system().verify_ledgers().is_ok(),
+    })
+}
+
+/// Runs one campaign over a [`Recorder`] (see [`run_stages`]).
+pub fn run_campaign(
+    rec: &mut Recorder,
+    campaign: &Campaign,
+    fault_tolerant: bool,
+) -> CampaignReport {
+    let Ok(report) = run_stages(rec, campaign, fault_tolerant);
+    report
 }
 
 /// Outcome counts for one (attack class × mechanism) matrix cell.
@@ -1300,6 +1331,42 @@ mod tests {
         let bytes = enc.into_bytes();
         let back = Vec::<Expectation>::unpack(&mut Dec::new(&bytes)).expect("unpack");
         assert_eq!(back, all);
+    }
+
+    #[test]
+    fn an_actor_without_a_handle_resolves_to_none_and_ends_the_campaign() {
+        let mut rec = Recorder::new(OverhaulConfig::protected());
+        let driver = CampaignDriver::new();
+        for action in [
+            StageAction::Connect { actor: 0 },
+            StageAction::ClickActor { actor: 0 },
+            StageAction::OpenDevice {
+                actor: 1,
+                path: "/dev/video0",
+            },
+            StageAction::ShmAt { actor: 0 },
+        ] {
+            assert_eq!(driver.resolve(rec.system(), &action), None, "{action:?}");
+        }
+        assert_eq!(
+            driver.resolve(rec.system(), &StageAction::Settle),
+            Some(Event::Settle)
+        );
+
+        // The runner keeps the stages done before the unresolvable one.
+        let campaign = Campaign {
+            name: "ghost",
+            class: AttackClass::HoverOverlay,
+            stages: vec![
+                Stage::plain("settle", StageAction::Settle),
+                Stage::plain("connect a ghost", StageAction::Connect { actor: 3 }),
+                Stage::plain("settle again", StageAction::Settle),
+            ],
+        };
+        let report = run_campaign(&mut rec, &campaign, false);
+        let done: Vec<_> = report.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(done, ["settle"]);
+        assert_eq!(rec.events_recorded(), 1);
     }
 
     #[test]

@@ -7,71 +7,53 @@
 //! such as a separate trusted communication channel ... Our design can be
 //! applied to that case in a straightforward manner."
 //!
-//! [`DirectMonitorLink`] is that application: the same generic
-//! [`crate::link::MonitorClient`] as the netlink wiring,
-//! instantiated over [`DirectTransport`] — the display manager calls the
-//! policy engine in-process, no netlink, no peer authentication, no
-//! context-switch cost. The security semantics are identical (verified by
-//! tests that run the same scenarios under both wirings); the
-//! channel-related attack surface and the per-query RTT simply disappear.
+//! [`DirectMonitorLink`] is that application: the display manager calls
+//! the policy engine in-process, no netlink, no peer authentication, no
+//! context-switch cost. The security semantics are identical to
+//! [`crate::link::NetlinkMonitorLink`]'s (verified by tests that run the
+//! same scenarios under both wirings); the channel-related attack surface
+//! and the per-query RTT simply disappear.
 
-use overhaul_kernel::monitor::ResourceOp;
-use overhaul_kernel::netlink::{NetlinkError, NetlinkMessage, NetlinkReply};
 use overhaul_kernel::Kernel;
-use overhaul_xserver::protocol::DisplayOp;
+use overhaul_sim::{Pid, Timestamp};
+use overhaul_xserver::protocol::{DisplayOp, MonitorLink};
 
-use crate::link::{MonitorClient, MonitorTransport};
-
-/// Transport for kernel-integrated display managers: every message becomes
-/// a direct call into the kernel, never a channel crossing, so it cannot
-/// fail with a channel error.
-#[derive(Debug)]
-pub struct DirectTransport<'a> {
-    kernel: &'a mut Kernel,
-}
-
-impl MonitorTransport for DirectTransport<'_> {
-    fn transmit(&mut self, msg: NetlinkMessage) -> Result<NetlinkReply, NetlinkError> {
-        match msg {
-            NetlinkMessage::InteractionNotification { pid, at } => {
-                // A dead pid is not a transport error; the kernel audits it.
-                let _ = self.kernel.record_interaction_direct(pid, at);
-                Ok(NetlinkReply::Ack)
-            }
-            NetlinkMessage::PermissionQuery { pid, op, at } => Ok(NetlinkReply::QueryResponse(
-                self.kernel.decide_direct(pid, at, op),
-            )),
-            NetlinkMessage::DeviceMapUpdate { old_path, new_path } => {
-                self.kernel.apply_device_map_update(&old_path, &new_path);
-                Ok(NetlinkReply::Ack)
-            }
-        }
-    }
-}
+use crate::link::resource_op;
 
 /// A monitor link for kernel-integrated display managers: calls the
-/// policy engine directly instead of crossing a channel.
-pub type DirectMonitorLink<'a> = MonitorClient<DirectTransport<'a>>;
+/// policy engine directly instead of crossing a channel, so no channel
+/// error can deny.
+#[derive(Debug)]
+pub struct DirectMonitorLink<'a> {
+    kernel: &'a mut Kernel,
+}
 
 impl<'a> DirectMonitorLink<'a> {
     /// Wraps the kernel for in-process monitor access.
     pub fn new(kernel: &'a mut Kernel) -> Self {
-        MonitorClient::from_transport(DirectTransport { kernel })
+        DirectMonitorLink { kernel }
     }
 }
 
-/// Maps a display op for the integrated path (re-exported for symmetry
-/// with [`crate::link`]).
-pub fn resource_op(op: DisplayOp) -> ResourceOp {
-    crate::link::resource_op(op)
+impl MonitorLink for DirectMonitorLink<'_> {
+    fn notify_interaction(&mut self, pid: Pid, at: Timestamp) {
+        // A dead pid is not a link error; the kernel audits it.
+        let _ = self.kernel.record_interaction_direct(pid, at);
+    }
+
+    fn query(&mut self, pid: Pid, op: DisplayOp, at: Timestamp) -> bool {
+        self.kernel
+            .decide_direct(pid, at, resource_op(op))
+            .verdict
+            .is_grant()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use overhaul_kernel::KernelConfig;
-    use overhaul_sim::{Clock, Pid, Timestamp};
-    use overhaul_xserver::protocol::MonitorLink;
+    use overhaul_sim::Clock;
 
     #[test]
     fn direct_link_matches_netlink_semantics() {

@@ -1,17 +1,14 @@
-//! The display manager's monitor link and the shared transport layer
-//! beneath it.
+//! The display manager's monitor link over the authenticated netlink
+//! channel (the paper's userspace design).
 //!
-//! Both wirings of the display manager — the paper's userspace design
-//! ([`NetlinkMonitorLink`]) and the kernel-integrated variant
-//! ([`crate::integrated::DirectMonitorLink`]) — speak the exact same
-//! protocol to the kernel's unified policy engine; only the hop differs.
-//! [`MonitorClient`] implements [`overhaul_xserver::protocol::MonitorLink`]
-//! once, generically, over a [`MonitorTransport`]; the two links are thin
-//! type aliases over their transports, so there is a single place where
-//! fail-closed query semantics live.
+//! Both wirings of the display manager — [`NetlinkMonitorLink`] here and
+//! the kernel-integrated [`crate::integrated::DirectMonitorLink`] — ask
+//! the kernel's one policy engine; only the hop differs. Each implements
+//! [`MonitorLink`] directly: a notification is fire-and-forget, and a
+//! query that gets no verdict denies (fail closed).
 
 use overhaul_kernel::monitor::ResourceOp;
-use overhaul_kernel::netlink::{ConnId, NetlinkError, NetlinkMessage, NetlinkReply};
+use overhaul_kernel::netlink::{ConnId, NetlinkMessage, NetlinkReply};
 use overhaul_kernel::Kernel;
 use overhaul_sim::{Pid, Timestamp};
 use overhaul_xserver::protocol::{DisplayOp, MonitorLink};
@@ -25,74 +22,42 @@ pub fn resource_op(op: DisplayOp) -> ResourceOp {
     }
 }
 
-/// One hop between the display manager and the kernel's policy engine:
-/// delivers a [`NetlinkMessage`] and returns the kernel's reply. The
-/// netlink transport crosses the authenticated channel; the integrated
-/// transport is a direct call.
-pub trait MonitorTransport {
-    /// Delivers `msg` to the kernel, returning its reply or a channel
-    /// error (which the client treats as a denial — fail closed).
-    fn transmit(&mut self, msg: NetlinkMessage) -> Result<NetlinkReply, NetlinkError>;
-}
-
-/// The [`MonitorLink`] implementation shared by every transport: protocol
-/// semantics (notification fire-and-forget, query fail-closed) live here,
-/// exactly once.
+/// A borrowed view of the kernel acting as the X server's monitor link,
+/// across an established netlink connection.
 #[derive(Debug)]
-pub struct MonitorClient<T> {
-    transport: T,
-}
-
-impl<T: MonitorTransport> MonitorClient<T> {
-    /// Wraps a transport.
-    pub fn from_transport(transport: T) -> Self {
-        MonitorClient { transport }
-    }
-}
-
-impl<T: MonitorTransport> MonitorLink for MonitorClient<T> {
-    fn notify_interaction(&mut self, pid: Pid, at: Timestamp) {
-        // A dropped notification (dead process, torn-down channel) is not
-        // an X-server error; the kernel audits it.
-        let _ = self
-            .transport
-            .transmit(NetlinkMessage::InteractionNotification { pid, at });
-    }
-
-    fn query(&mut self, pid: Pid, op: DisplayOp, at: Timestamp) -> bool {
-        match self.transport.transmit(NetlinkMessage::PermissionQuery {
-            pid,
-            op: resource_op(op),
-            at,
-        }) {
-            Ok(NetlinkReply::QueryResponse(decision)) => decision.verdict.is_grant(),
-            // Channel failure or unexpected reply: fail closed.
-            _ => false,
-        }
-    }
-}
-
-/// Transport that crosses the authenticated kernel↔display-manager netlink
-/// channel (the paper's userspace design).
-#[derive(Debug)]
-pub struct NetlinkTransport<'a> {
+pub struct NetlinkMonitorLink<'a> {
     kernel: &'a mut Kernel,
     conn: ConnId,
 }
 
-impl MonitorTransport for NetlinkTransport<'_> {
-    fn transmit(&mut self, msg: NetlinkMessage) -> Result<NetlinkReply, NetlinkError> {
-        self.kernel.netlink_send(self.conn, msg)
-    }
-}
-
-/// A borrowed view of the kernel acting as the X server's monitor link.
-pub type NetlinkMonitorLink<'a> = MonitorClient<NetlinkTransport<'a>>;
-
 impl<'a> NetlinkMonitorLink<'a> {
     /// Wraps an established netlink connection.
     pub fn new(kernel: &'a mut Kernel, conn: ConnId) -> Self {
-        MonitorClient::from_transport(NetlinkTransport { kernel, conn })
+        NetlinkMonitorLink { kernel, conn }
+    }
+}
+
+impl MonitorLink for NetlinkMonitorLink<'_> {
+    fn notify_interaction(&mut self, pid: Pid, at: Timestamp) {
+        // A dropped notification (dead process, torn-down channel) is not
+        // an X-server error; the kernel audits it.
+        let _ = self.kernel.netlink_send(
+            self.conn,
+            NetlinkMessage::InteractionNotification { pid, at },
+        );
+    }
+
+    fn query(&mut self, pid: Pid, op: DisplayOp, at: Timestamp) -> bool {
+        let query = NetlinkMessage::PermissionQuery {
+            pid,
+            op: resource_op(op),
+            at,
+        };
+        match self.kernel.netlink_send(self.conn, query) {
+            Ok(NetlinkReply::QueryResponse(decision)) => decision.verdict.is_grant(),
+            // Channel failure or unexpected reply: fail closed.
+            _ => false,
+        }
     }
 }
 

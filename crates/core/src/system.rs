@@ -1260,6 +1260,35 @@ mod tests {
     }
 
     #[test]
+    fn refused_creates_leave_the_state_hash_unchanged() {
+        let mut system = System::protected();
+        let app = gui(&mut system, "/usr/bin/editor", 0);
+        let kernel = system.kernel_mut();
+        kernel.sys_mkdir(app.pid, "/tmp/d", 0o755).expect("mkdir");
+        kernel.sys_creat(app.pid, "/tmp/f", 0o644).expect("creat");
+        kernel.sys_mkfifo(app.pid, "/tmp/p", 0o644).expect("mkfifo");
+        let before = system.state_hash();
+        let kernel = system.kernel_mut();
+        assert_eq!(
+            kernel.sys_mkdir(app.pid, "/tmp/f", 0o755),
+            Err(Errno::Eexist)
+        );
+        assert_eq!(system.state_hash(), before, "refused mkdir");
+        let kernel = system.kernel_mut();
+        assert_eq!(
+            kernel.sys_creat(app.pid, "/tmp/p", 0o644),
+            Err(Errno::Eexist)
+        );
+        assert_eq!(system.state_hash(), before, "refused creat");
+        let kernel = system.kernel_mut();
+        assert_eq!(
+            kernel.sys_mkfifo(app.pid, "/tmp/d", 0o644),
+            Err(Errno::Eexist)
+        );
+        assert_eq!(system.state_hash(), before, "refused mkfifo");
+    }
+
+    #[test]
     fn control_plane_is_a_reduction_of_the_ledger() {
         let mut system = System::protected();
         assert_eq!(

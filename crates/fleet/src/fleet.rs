@@ -364,15 +364,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
         }
     }
     metrics.set_counter("overhaul_fleet_ledger_entries_total", ledger_entries);
-    let distinct = {
-        let mut heads: Vec<u64> = ledgers.iter().map(|(_, l)| l.head).collect();
-        heads.sort_unstable();
-        heads.dedup();
-        heads.len()
-    };
-    metrics.set_gauge("overhaul_fleet_ledger_heads_distinct", distinct as i64);
-
-    FleetReport {
+    let mut report = FleetReport {
         shards: config.shards,
         ok,
         failed,
@@ -388,7 +380,12 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
         ledgers,
         archives,
         wall: start.elapsed(),
-    }
+    };
+    let distinct = report.distinct_ledger_heads();
+    report
+        .metrics
+        .set_gauge("overhaul_fleet_ledger_heads_distinct", distinct as i64);
+    report
 }
 
 #[cfg(test)]

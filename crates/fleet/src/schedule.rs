@@ -129,8 +129,6 @@ impl ChaosSpec {
 pub struct FleetWorkload {
     /// Steps (shard ops) per shard.
     pub steps: usize,
-    /// Maximum concurrently running GUI apps per shard.
-    pub apps: usize,
     /// Boot the deliberately permissive grant-all policy instead of the
     /// protected one. The expectation-aware oracle documents the grants as
     /// `ExpectedBypass` ("grants by design"), so grant-all shards complete
@@ -152,7 +150,6 @@ impl Default for FleetWorkload {
     fn default() -> Self {
         FleetWorkload {
             steps: 120,
-            apps: 3,
             grant_all: false,
             campaign_p: 0.0,
             oracle_strict: false,

@@ -15,13 +15,13 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use overhaul_apps::campaign::{
-    self, CampaignDriver, CampaignKind, CampaignReport, Expectation, StageReport, StageVerdict,
+    self, Campaign, CampaignReport, Expectation, Stage, StageHost, StageVerdict,
 };
 use overhaul_core::{apply_event, replay, ApplyOutcome, Event, EventLog, Gui, System};
 use overhaul_kernel::monitor::ResourceOp;
 use overhaul_kernel::policy::{IngestEvent, OpRequest};
 use overhaul_sim::{
-    AuditCategory, LedgerSummary, MetricsRegistry, Pid, SimDuration, SimRng, SketchBook, Snapshot,
+    LedgerSummary, MetricsRegistry, Pid, SimDuration, SimRng, SketchBook, Snapshot,
 };
 use overhaul_xserver::geometry::Rect;
 
@@ -38,6 +38,10 @@ const SPIN_BACKSTOP: Duration = Duration::from_millis(1_500);
 /// Device nodes the workload opens (the protected set of the default
 /// configuration).
 const DEVICES: [&str; 2] = ["/dev/snd/mic0", "/dev/video0"];
+
+/// GUI and spy handles the generator keeps live; the oldest goes first.
+const LIVE_GUIS: usize = 6;
+const LIVE_SPIES: usize = 4;
 
 /// The deterministic payload of an injected chaos panic. Pulled into a
 /// function so the recorded message and the reproduction's re-panic are
@@ -200,417 +204,328 @@ fn run_shard_inner(plan: &ShardPlan, beat: &ShardBeat) -> ShardReport {
     // Exemplars this machine records resolve back to it by seed.
     system.set_sketch_seed(plan.seed);
 
-    let mut log = EventLog {
-        config: plan.config.clone(),
-        events: Vec::new(),
-        final_state_hash: None,
-        final_ledger_head: None,
-    };
-    // Last-good checkpoint: starts at the boot state (zero events).
-    let mut last_good = system.snapshot();
-    let mut snap_idx = 0usize;
-
-    let mut rng = SimRng::stream(plan.seed, 1);
-    let mut live = LiveState {
-        guis: Vec::new(),
-        spies: Vec::new(),
-        launched: 0,
-    };
-
-    // Recorded setup: one spy process (spawned, never interacted — the
-    // policy oracle) and one GUI app to click on.
-    let setup = [
-        ShardOp::Sys(Event::SpawnProcess {
-            parent: None,
-            exe: "/usr/bin/.dropper".into(),
-        }),
-        ShardOp::Sys(Event::LaunchGuiApp {
-            exe: "/usr/bin/app0".into(),
-            rect: Rect::new(10, 10, 300, 200),
-        }),
-        ShardOp::Sys(Event::Settle),
-    ];
-    live.launched = 1;
-
-    let steps: Vec<ShardOp> = (0..plan.steps)
-        .map(|step| chaos_or_placeholder(plan, step))
-        .collect();
-
-    let total = setup.len() + steps.len();
-    let mut campaign_report: Option<CampaignReport> = None;
-    for (i, slot) in setup.into_iter().chain(steps).enumerate() {
-        if beat.is_cancelled() {
-            return failure(
-                plan,
-                &system,
-                log,
-                snap_idx,
-                last_good,
-                FailureKind::HungWall,
-                None,
-            );
-        }
-        // Scheduled campaign: its stages interleave here, each recorded
-        // as an ordinary event, judged against its expectation.
-        if let Some(slot) = plan.campaign {
-            if campaign_report.is_none() && i >= 3 && i - 3 == slot.at_step {
-                if !system.x_alive() {
-                    // Campaign stages need a live display; recover first
-                    // (recorded, so replay does the same).
-                    let restart = Event::RestartX;
-                    let outcome = apply_event(&mut system, &restart);
-                    log.events.push(restart);
-                    track_outcome(&outcome, &mut live);
-                }
-                match run_campaign_stages(&mut system, &mut log, slot.kind, plan.lenient_oracle) {
-                    Ok(report) => campaign_report = Some(report),
-                    Err(boxed) => {
-                        let (kind, failing_op) = *boxed;
-                        return failure(plan, &system, log, snap_idx, last_good, kind, failing_op);
-                    }
-                }
-            }
-        }
-        // Placeholder slots are generated against the live system now.
-        let op = match slot {
-            ShardOp::Sys(Event::Settle) if i >= 3 => {
-                generate_op(&mut rng, &system, &mut live, plan)
-            }
-            other => other,
-        };
-        let pre_hash = system.state_hash();
-        let pre_head = system.ledger_head();
-
-        match op {
-            ShardOp::Chaos(ChaosOp::Panic) => {
-                let payload = panic::catch_unwind(AssertUnwindSafe(|| injected_panic(plan.index)))
-                    .expect_err("injected_panic always panics");
-                log.final_state_hash = Some(pre_hash);
-                log.final_ledger_head = Some(pre_head);
-                return failure(
-                    plan,
-                    &system,
-                    log,
-                    snap_idx,
-                    last_good,
-                    FailureKind::Panic {
-                        message: panic_message(&payload),
-                    },
-                    Some(ShardOp::Chaos(ChaosOp::Panic)),
-                );
-            }
-            ShardOp::Chaos(ChaosOp::VirtualStall(jump)) => {
-                // Not recorded: the stall is the fault, not an input.
-                system.advance(jump);
-                log.final_state_hash = Some(pre_hash);
-                log.final_ledger_head = Some(pre_head);
-                return failure(
-                    plan,
-                    &system,
-                    log,
-                    snap_idx,
-                    last_good,
-                    FailureKind::HungVirtual {
-                        now: system.now(),
-                        deadline: plan.virtual_deadline,
-                    },
-                    Some(ShardOp::Chaos(ChaosOp::VirtualStall(jump))),
-                );
-            }
-            ShardOp::Chaos(ChaosOp::Spin) => {
-                let start = Instant::now();
-                while !beat.is_cancelled() && start.elapsed() < SPIN_BACKSTOP {
-                    std::hint::spin_loop();
-                }
-                log.final_state_hash = Some(pre_hash);
-                log.final_ledger_head = Some(pre_head);
-                return failure(
-                    plan,
-                    &system,
-                    log,
-                    snap_idx,
-                    last_good,
-                    FailureKind::HungWall,
-                    Some(ShardOp::Chaos(ChaosOp::Spin)),
-                );
-            }
-            ShardOp::Sys(event) => {
-                let applied =
-                    panic::catch_unwind(AssertUnwindSafe(|| apply_event(&mut system, &event)));
-                match applied {
-                    Ok(outcome) => {
-                        log.events.push(event);
-                        track_outcome(&outcome, &mut live);
-                    }
-                    Err(payload) => {
-                        log.final_state_hash = Some(pre_hash);
-                        log.final_ledger_head = Some(pre_head);
-                        return failure(
-                            plan,
-                            &system,
-                            log,
-                            snap_idx,
-                            last_good,
-                            FailureKind::Panic {
-                                message: panic_message(&payload),
-                            },
-                            Some(ShardOp::Sys(event)),
-                        );
-                    }
-                }
-            }
-            ShardOp::Expect(expect, event) => {
-                let applied =
-                    panic::catch_unwind(AssertUnwindSafe(|| apply_event(&mut system, &event)));
-                match applied {
-                    Ok(outcome) => {
-                        let verdict = campaign::outcome_granted(&event, &outcome)
-                            .map(|g| campaign::judge(&expect, g, plan.lenient_oracle));
-                        if let Some(StageVerdict::Regression(detail)) = verdict {
-                            let path = match &event {
-                                Event::OpenDevice { path, .. } => path.clone(),
-                                _ => String::new(),
-                            };
-                            log.final_state_hash = Some(pre_hash);
-                            log.final_ledger_head = Some(pre_head);
-                            return failure(
-                                plan,
-                                &system,
-                                log,
-                                snap_idx,
-                                last_good,
-                                FailureKind::DefenseRegression {
-                                    campaign: "fleet-oracle".into(),
-                                    stage: path,
-                                    detail,
-                                },
-                                Some(ShardOp::Expect(expect, event)),
-                            );
-                        }
-                        log.events.push(event);
-                        track_outcome(&outcome, &mut live);
-                    }
-                    Err(payload) => {
-                        log.final_state_hash = Some(pre_hash);
-                        log.final_ledger_head = Some(pre_head);
-                        return failure(
-                            plan,
-                            &system,
-                            log,
-                            snap_idx,
-                            last_good,
-                            FailureKind::Panic {
-                                message: panic_message(&payload),
-                            },
-                            Some(ShardOp::Expect(expect, event)),
-                        );
-                    }
-                }
-            }
-        }
-
-        beat.tick();
-
-        // Virtual-time watchdog: a legitimate op mix never reaches the
-        // deadline, so crossing it means a livelock-shaped bug.
-        if system.now() > plan.virtual_deadline {
-            log.final_state_hash = Some(system.state_hash());
-            log.final_ledger_head = Some(system.ledger_head());
-            return failure(
-                plan,
-                &system,
-                log,
-                snap_idx,
-                last_good,
-                FailureKind::HungVirtual {
-                    now: system.now(),
-                    deadline: plan.virtual_deadline,
-                },
-                None,
-            );
-        }
-
-        // Periodic last-good checkpoint (never perturbs the state hash).
-        if log.events.len() >= snap_idx + SNAP_EVERY && i + 1 < total {
-            last_good = system.snapshot();
-            snap_idx = log.events.len();
-        }
-    }
-
-    // Chain-verify the run's ledgers before sealing: a shard whose own
-    // recorded history fails verification is its own failure kind.
-    if let Err(e) = system.verify_ledgers() {
-        log.final_state_hash = Some(system.state_hash());
-        log.final_ledger_head = Some(system.ledger_head());
-        return failure(
-            plan,
-            &system,
-            log,
-            snap_idx,
-            last_good,
-            FailureKind::CorruptLedger {
-                message: e.to_string(),
-            },
-            None,
-        );
-    }
-
-    // Seal and self-verify: replay the whole log from boot and demand the
-    // byte-identical state hash.
-    let live_hash = system.state_hash();
-    log.final_state_hash = Some(live_hash);
-    log.final_ledger_head = Some(system.ledger_head());
-    match replay(&log) {
-        Ok(replayed) => {
-            let got = replayed.state_hash();
-            if got != live_hash {
-                return failure(
-                    plan,
-                    &system,
-                    log,
-                    snap_idx,
-                    last_good,
-                    FailureKind::Divergence {
-                        expected: live_hash,
-                        got,
-                    },
-                    None,
-                );
-            }
-        }
-        Err(e) => {
-            return failure(
-                plan,
-                &system,
-                log,
-                snap_idx,
-                last_good,
-                FailureKind::Boot {
-                    message: format!("self-replay refused to boot: {e:?}"),
-                },
-                None,
-            );
-        }
-    }
-
-    let events = log.events.len();
-    ShardReport {
-        index: plan.index,
-        seed: plan.seed,
-        outcome: ShardOutcome::Ok {
-            state_hash: live_hash,
+    let mut run = Run {
+        plan,
+        beat,
+        log: EventLog {
+            config: plan.config.clone(),
+            events: Vec::new(),
+            final_state_hash: None,
+            final_ledger_head: None,
         },
-        events,
-        sim_ms: system.now().as_millis(),
-        metrics: safe_metrics(&system),
-        campaign: campaign_report,
-        sketches: safe_sketches(&system),
-        ledger: safe_ledger(&system),
-        log: Some(log),
-        snap_idx,
-        snapshot: Some(last_good),
+        // Last-good checkpoint: starts at the boot state (zero events).
+        last_good: system.snapshot(),
+        snap_idx: 0,
+        system,
+    };
+    let end = run.drive();
+    run.finish(end)
+}
+
+/// Why a shard run stopped: the failure, the op it failed on, and the
+/// `(state hash, ledger head)` its log seals at — the state just before
+/// that op, or `None` for the state the machine is in.
+struct Stop {
+    kind: FailureKind,
+    op: Option<ShardOp>,
+    seal: Option<(u64, u64)>,
+}
+
+impl Stop {
+    /// A stop between ops, sealed at the current state.
+    fn here(kind: FailureKind) -> Box<Self> {
+        Box::new(Stop {
+            kind,
+            op: None,
+            seal: None,
+        })
     }
 }
 
-/// Runs a catalog campaign inline in a shard: every stage resolves to one
-/// recorded event, judged stages go through [`campaign::judge`] with the
-/// shard's oracle leniency, and a regression seals the log at the
-/// pre-failure hash exactly like the spy-probe oracle. A resolve that
-/// cannot produce its event (a launch failed because the display died
-/// mid-campaign and left a handle unbound) aborts the campaign gracefully
-/// instead of fabricating a non-reproducible panic triple.
-fn run_campaign_stages(
-    system: &mut System,
-    log: &mut EventLog,
-    kind: CampaignKind,
-    lenient: bool,
-) -> Result<CampaignReport, Box<(FailureKind, Option<ShardOp>)>> {
-    let script = kind.build();
-    let mut driver = CampaignDriver::new();
-    let mut stages: Vec<StageReport> = Vec::with_capacity(script.stages.len());
-    let suppressed_before = system
-        .x_audit()
-        .count(AuditCategory::ClickjackingSuppressed);
-    let filtered_before = system
-        .x_audit()
-        .count(AuditCategory::SyntheticInputFiltered);
+/// One shard's run: the machine, its recorded log and its last-good
+/// checkpoint, which a failure seals into its triple.
+struct Run<'a> {
+    plan: &'a ShardPlan,
+    beat: &'a ShardBeat,
+    system: System,
+    log: EventLog,
+    /// Index of the first event after `last_good`.
+    snap_idx: usize,
+    last_good: Snapshot,
+}
 
-    for stage in &script.stages {
-        let resolved =
-            panic::catch_unwind(AssertUnwindSafe(|| driver.resolve(system, &stage.action)));
-        let event = match resolved {
-            Ok(event) => event,
-            Err(_) => break,
+impl Run<'_> {
+    /// Runs the recorded setup and the plan's steps, its campaign
+    /// interleaved, then verifies the ledgers and self-replays the sealed
+    /// log. Returns the sealed state hash and the campaign's report.
+    fn drive(&mut self) -> Result<(u64, Option<CampaignReport>), Box<Stop>> {
+        let plan = self.plan;
+        let mut rng = SimRng::stream(plan.seed, 1);
+        // Recorded setup: one spy process (spawned, never interacted — the
+        // policy oracle) and one GUI app to click on.
+        let setup = [
+            ShardOp::Sys(Event::SpawnProcess {
+                parent: None,
+                exe: "/usr/bin/.dropper".into(),
+            }),
+            ShardOp::Sys(Event::LaunchGuiApp {
+                exe: "/usr/bin/app0".into(),
+                rect: Rect::new(10, 10, 300, 200),
+            }),
+            ShardOp::Sys(Event::Settle),
+        ];
+        let mut live = LiveState {
+            guis: Vec::new(),
+            spies: Vec::new(),
+            launched: 1,
         };
-        let pre_hash = system.state_hash();
-        let pre_head = system.ledger_head();
-        let applied = panic::catch_unwind(AssertUnwindSafe(|| apply_event(system, &event)));
+        let total = setup.len() + plan.steps;
+        let steps = (0..plan.steps).map(|step| chaos_or_placeholder(plan, step));
+        let mut campaign = None;
+        for (i, slot) in setup.into_iter().chain(steps).enumerate() {
+            if self.beat.is_cancelled() {
+                return Err(Stop::here(FailureKind::HungWall));
+            }
+            // Scheduled campaign: its stages interleave here, each one a
+            // step of its own.
+            if let Some(slot) = plan.campaign.filter(|slot| i == slot.at_step + 3) {
+                if !self.system.x_alive() {
+                    // Campaign stages need a live display; recover first
+                    // (recorded, so replay does the same).
+                    let outcome = self.step(ShardOp::Sys(Event::RestartX), None)?;
+                    track_outcome(&outcome, &mut live);
+                }
+                let script = slot.kind.build();
+                campaign = Some(campaign::run_stages(self, &script, plan.lenient_oracle)?);
+            }
+            // Placeholder slots are generated against the live system now.
+            let op = match slot {
+                ShardOp::Sys(Event::Settle) if i >= 3 => {
+                    generate_op(&mut rng, &self.system, &mut live, plan)
+                }
+                other => other,
+            };
+            let outcome = self.step(op, None)?;
+            track_outcome(&outcome, &mut live);
+
+            // Virtual-time watchdog: a legitimate op mix never reaches the
+            // deadline, so crossing it means a livelock-shaped bug.
+            if self.system.now() > plan.virtual_deadline {
+                return Err(Stop::here(FailureKind::HungVirtual {
+                    now: self.system.now(),
+                    deadline: plan.virtual_deadline,
+                }));
+            }
+
+            // Periodic last-good checkpoint (never perturbs the state hash).
+            if self.log.events.len() >= self.snap_idx + SNAP_EVERY && i + 1 < total {
+                self.last_good = self.system.snapshot();
+                self.snap_idx = self.log.events.len();
+            }
+        }
+
+        // Chain-verify the run's ledgers before sealing: a shard whose own
+        // recorded history fails verification is its own failure kind.
+        if let Err(e) = self.system.verify_ledgers() {
+            return Err(Stop::here(FailureKind::CorruptLedger {
+                message: e.to_string(),
+            }));
+        }
+
+        // Seal and self-verify: replay the whole log from boot and demand
+        // the byte-identical state hash.
+        let live_hash = self.seal(None);
+        let replayed = replay(&self.log).map_err(|e| {
+            Stop::here(FailureKind::Boot {
+                message: format!("self-replay refused to boot: {e:?}"),
+            })
+        })?;
+        let got = replayed.state_hash();
+        if got != live_hash {
+            return Err(Stop::here(FailureKind::Divergence {
+                expected: live_hash,
+                got,
+            }));
+        }
+        Ok((live_hash, campaign))
+    }
+
+    /// Applies one op, contained: the pre-op state hash and ledger head
+    /// are taken first, so a failing op seals the log just before itself
+    /// (DESIGN §5e). A chaos op always fails; a panic is caught; an
+    /// `Expect` op is judged. `stage` is the `(script, stage label)` a
+    /// campaign stage runs as: it names a regression and files a panic
+    /// under the bare event; without it the fleet's spy-probe oracle
+    /// names a regression after the probed device.
+    fn step(
+        &mut self,
+        op: ShardOp,
+        stage: Option<(&str, &str)>,
+    ) -> Result<ApplyOutcome, Box<Stop>> {
+        let seal = Some((self.system.state_hash(), self.system.ledger_head()));
+        let fail = |kind, op| {
+            Err(Box::new(Stop {
+                kind,
+                op: Some(op),
+                seal,
+            }))
+        };
+        let (expect, event) = match op {
+            ShardOp::Sys(event) => (None, event),
+            ShardOp::Expect(expect, event) => (Some(expect), event),
+            ShardOp::Chaos(chaos) => return fail(self.chaos(&chaos), ShardOp::Chaos(chaos)),
+        };
+        let applied =
+            panic::catch_unwind(AssertUnwindSafe(|| apply_event(&mut self.system, &event)));
         let outcome = match applied {
             Ok(outcome) => outcome,
             Err(payload) => {
-                log.final_state_hash = Some(pre_hash);
-                log.final_ledger_head = Some(pre_head);
-                return Err(Box::new((
-                    FailureKind::Panic {
-                        message: panic_message(&payload),
-                    },
-                    Some(ShardOp::Sys(event)),
-                )));
+                let kind = FailureKind::Panic {
+                    message: panic_message(&payload),
+                };
+                return match expect {
+                    Some(expect) if stage.is_none() => fail(kind, ShardOp::Expect(expect, event)),
+                    _ => fail(kind, ShardOp::Sys(event)),
+                };
             }
         };
-        let granted = campaign::outcome_granted(&event, &outcome);
-        let verdict = match (&stage.check, granted) {
-            (Some(check), Some(g)) => Some(campaign::judge(&check.expect, g, lenient)),
-            _ => None,
-        };
-        if let Some(StageVerdict::Regression(detail)) = verdict {
-            log.final_state_hash = Some(pre_hash);
-            log.final_ledger_head = Some(pre_head);
-            let expect = stage.check.as_ref().expect("regression implies check");
-            return Err(Box::new((
-                FailureKind::DefenseRegression {
-                    campaign: script.name.to_string(),
-                    stage: stage.label.to_string(),
+        if let Some(expect) = expect {
+            let verdict = campaign::outcome_granted(&event, &outcome)
+                .map(|g| campaign::judge(&expect, g, self.plan.lenient_oracle));
+            if let Some(StageVerdict::Regression(detail)) = verdict {
+                let (campaign, stage) = match (stage, &event) {
+                    (Some((script, label)), _) => (script.to_string(), label.to_string()),
+                    (None, Event::OpenDevice { path, .. }) => ("fleet-oracle".into(), path.clone()),
+                    (None, _) => ("fleet-oracle".into(), String::new()),
+                };
+                let kind = FailureKind::DefenseRegression {
+                    campaign,
+                    stage,
                     detail,
-                },
-                Some(ShardOp::Expect(expect.expect.clone(), event)),
-            )));
+                };
+                return fail(kind, ShardOp::Expect(expect, event));
+            }
         }
-        log.events.push(event.clone());
-        driver.absorb(&stage.action, &outcome);
-        let rule = stage.action.resource_op().and_then(|op| {
-            let pid = match &event {
-                Event::OpenDevice { pid, .. } => *pid,
-                _ => return None,
-            };
-            system
-                .kernel()
-                .explain_last(pid, op)
-                .map(|o| o.trace.kind_str())
-        });
-        stages.push(StageReport {
-            stage: stage.label,
-            check: stage.check.clone(),
-            granted,
-            rule,
-            verdict,
-        });
+        self.log.events.push(event);
+        self.beat.tick();
+        Ok(outcome)
     }
 
-    Ok(CampaignReport {
-        name: script.name,
-        class: script.class,
-        stages,
-        clickjacking_suppressed: system
-            .x_audit()
-            .count(AuditCategory::ClickjackingSuppressed)
-            .saturating_sub(suppressed_before),
-        synthetic_filtered: system
-            .x_audit()
-            .count(AuditCategory::SyntheticInputFiltered)
-            .saturating_sub(filtered_before),
-        ledger_verified: system.verify_ledgers().is_ok(),
-    })
+    /// Runs an injected chaos op, none of which is recorded, and names
+    /// the failure it is.
+    fn chaos(&mut self, chaos: &ChaosOp) -> FailureKind {
+        match chaos {
+            ChaosOp::Panic => {
+                let index = self.plan.index;
+                let payload = panic::catch_unwind(|| injected_panic(index))
+                    .expect_err("injected_panic always panics");
+                FailureKind::Panic {
+                    message: panic_message(&payload),
+                }
+            }
+            ChaosOp::VirtualStall(jump) => {
+                // The stall is the fault, not an input.
+                self.system.advance(*jump);
+                FailureKind::HungVirtual {
+                    now: self.system.now(),
+                    deadline: self.plan.virtual_deadline,
+                }
+            }
+            ChaosOp::Spin => {
+                let start = Instant::now();
+                while !self.beat.is_cancelled() && start.elapsed() < SPIN_BACKSTOP {
+                    std::hint::spin_loop();
+                }
+                FailureKind::HungWall
+            }
+        }
+    }
+
+    /// Seals the log at `at`, or at the current state, and returns the
+    /// sealed state hash.
+    fn seal(&mut self, at: Option<(u64, u64)>) -> u64 {
+        let (hash, head) =
+            at.unwrap_or_else(|| (self.system.state_hash(), self.system.ledger_head()));
+        self.log.final_state_hash = Some(hash);
+        self.log.final_ledger_head = Some(head);
+        hash
+    }
+
+    /// The one exit: hands the run back, whole when it completed, and as
+    /// a sealed [`FailureTriple`] when it stopped.
+    fn finish(mut self, end: Result<(u64, Option<CampaignReport>), Box<Stop>>) -> ShardReport {
+        if let Err(stop) = &end {
+            self.seal(stop.seal);
+        }
+        let Run {
+            plan,
+            system,
+            log,
+            snap_idx,
+            last_good,
+            ..
+        } = self;
+        let events = log.events.len();
+        let (outcome, campaign, log, snap_idx, snapshot) = match end {
+            Ok((state_hash, campaign)) => (
+                ShardOutcome::Ok { state_hash },
+                campaign,
+                Some(log),
+                snap_idx,
+                Some(last_good),
+            ),
+            Err(stop) => {
+                let triple = FailureTriple {
+                    index: plan.index,
+                    seed: plan.seed,
+                    kind: stop.kind,
+                    log,
+                    snap_idx,
+                    snapshot: last_good,
+                    failing_op: stop.op,
+                    virtual_deadline: plan.virtual_deadline,
+                    chain_head: system.ledger_head(),
+                };
+                (ShardOutcome::Failed(Box::new(triple)), None, None, 0, None)
+            }
+        };
+        ShardReport {
+            index: plan.index,
+            seed: plan.seed,
+            outcome,
+            events,
+            sim_ms: system.now().as_millis(),
+            metrics: safe_metrics(&system),
+            campaign,
+            sketches: safe_sketches(&system),
+            ledger: safe_ledger(&system),
+            log,
+            snap_idx,
+            snapshot,
+        }
+    }
+}
+
+impl StageHost for Run<'_> {
+    type Error = Box<Stop>;
+
+    fn system(&self) -> &System {
+        &self.system
+    }
+
+    /// A campaign stage is one step: a judged stage is an `Expect` op.
+    fn apply_stage(
+        &mut self,
+        campaign: &Campaign,
+        stage: &Stage,
+        event: Event,
+    ) -> Result<ApplyOutcome, Box<Stop>> {
+        let op = match &stage.check {
+            Some(check) => ShardOp::Expect(check.expect.clone(), event),
+            None => ShardOp::Sys(event),
+        };
+        self.step(op, Some((campaign.name, stage.label)))
+    }
 }
 
 /// Whether step `step` is a scheduled chaos slot; ordinary slots carry a
@@ -778,7 +693,7 @@ fn track_outcome(outcome: &ApplyOutcome, live: &mut LiveState) {
     match outcome {
         ApplyOutcome::Gui(Ok(gui)) => {
             live.guis.push(*gui);
-            if live.guis.len() > 6 {
+            if live.guis.len() > LIVE_GUIS {
                 live.guis.remove(0);
             }
         }
@@ -786,7 +701,7 @@ fn track_outcome(outcome: &ApplyOutcome, live: &mut LiveState) {
             // Spawned/forked processes are spy-lineage (never interacted);
             // their denials keep the oracle honest across fork.
             live.spies.push(*pid);
-            if live.spies.len() > 4 {
+            if live.spies.len() > LIVE_SPIES {
                 live.spies.remove(0);
             }
         }
@@ -794,53 +709,6 @@ fn track_outcome(outcome: &ApplyOutcome, live: &mut LiveState) {
         // handle is stale, drop them so the generator re-launches.
         ApplyOutcome::Restarted(Ok(_)) => live.guis.clear(),
         _ => {}
-    }
-}
-
-/// Builds the failure-shaped [`ShardReport`]. The log must already be
-/// sealed at the pre-failure hash (except hang-at-cancel, sealed here).
-#[allow(clippy::too_many_arguments)]
-fn failure(
-    plan: &ShardPlan,
-    system: &System,
-    mut log: EventLog,
-    snap_idx: usize,
-    snapshot: Snapshot,
-    kind: FailureKind,
-    failing_op: Option<ShardOp>,
-) -> ShardReport {
-    if log.final_state_hash.is_none() {
-        log.final_state_hash = Some(system.state_hash());
-    }
-    if log.final_ledger_head.is_none() {
-        log.final_ledger_head = Some(system.ledger_head());
-    }
-    let events = log.events.len();
-    let sim_ms = system.now().as_millis();
-    let metrics = safe_metrics(system);
-    ShardReport {
-        index: plan.index,
-        seed: plan.seed,
-        outcome: ShardOutcome::Failed(Box::new(FailureTriple {
-            index: plan.index,
-            seed: plan.seed,
-            kind,
-            log,
-            snap_idx,
-            snapshot,
-            failing_op,
-            virtual_deadline: plan.virtual_deadline,
-            chain_head: system.ledger_head(),
-        })),
-        events,
-        sim_ms,
-        metrics,
-        campaign: None,
-        sketches: safe_sketches(system),
-        ledger: safe_ledger(system),
-        log: None,
-        snap_idx: 0,
-        snapshot: None,
     }
 }
 
@@ -900,6 +768,7 @@ mod tests {
     use super::*;
     use crate::failure::{replay_triple, replay_triple_from_snapshot};
     use crate::schedule::{ChaosSchedule, FleetWorkload};
+    use overhaul_apps::campaign::CampaignKind;
 
     fn plan(seed_master: u64, index: usize) -> ShardPlan {
         ShardPlan::derive(seed_master, index, &FleetWorkload::default())
@@ -1036,6 +905,59 @@ mod tests {
             }
         }
         assert!(seen, "no shard exercised the spy-open op in 8 tries");
+    }
+
+    #[test]
+    fn strict_regression_inside_a_campaign_names_the_stage_and_reproduces() {
+        let w = FleetWorkload {
+            grant_all: true,
+            oracle_strict: true,
+            campaign_p: 1.0,
+            ..FleetWorkload::default()
+        };
+        // Most strict shards regress on a spy probe first: scan for one
+        // whose first wrongful grant is a judged campaign stage.
+        let triple = (0..32)
+            .find_map(|index| {
+                let p = ShardPlan::derive(0x5eed, index, &w);
+                match run_shard(&p, &ShardBeat::new()).outcome {
+                    ShardOutcome::Failed(t) if !matches!(
+                        &t.kind,
+                        FailureKind::DefenseRegression { campaign, .. } if campaign == "fleet-oracle"
+                    ) =>
+                    {
+                        Some(t)
+                    }
+                    _ => None,
+                }
+            })
+            .expect("no strict shard regressed inside its campaign in 32 tries");
+        let FailureKind::DefenseRegression {
+            campaign, stage, ..
+        } = &triple.kind
+        else {
+            panic!(
+                "strict campaign shard failed some other way: {:?}",
+                triple.kind
+            );
+        };
+        let script = CampaignKind::ALL
+            .iter()
+            .map(|kind| kind.build())
+            .find(|script| script.name == campaign)
+            .expect("the kind names a catalog script");
+        let judged = script
+            .stages
+            .iter()
+            .find(|s| s.label == stage)
+            .and_then(|s| s.check.as_ref())
+            .expect("the kind names a judged stage of that script");
+        match &triple.failing_op {
+            Some(ShardOp::Expect(expect, _)) => assert_eq!(expect, &judged.expect),
+            other => panic!("a judged stage must fail as its Expect op: {other:?}"),
+        }
+        assert!(replay_triple(&triple).is_reproduced());
+        assert!(replay_triple_from_snapshot(&triple).is_reproduced());
     }
 
     #[test]

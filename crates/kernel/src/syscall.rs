@@ -548,15 +548,8 @@ impl Kernel {
     /// [`Errno::Eexist`] if the path exists.
     pub fn sys_mkfifo(&mut self, pid: Pid, path: &str, mode: u16) -> SysResult<()> {
         let uid = self.caller(pid)?.uid();
-        let pipe = self.pipes.create();
-        match self.vfs.mkfifo(path, pipe, uid, mode) {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                self.pipes.release_reader(pipe);
-                self.pipes.release_writer(pipe);
-                Err(e)
-            }
-        }
+        self.vfs.mkfifo(path, || self.pipes.create(), uid, mode)?;
+        Ok(())
     }
 
     /// `socketpair(2)`: both end descriptors are installed in `pid`; pass

@@ -239,88 +239,71 @@ impl Vfs {
         self.inodes.get(&id).ok_or(Errno::Enoent)
     }
 
-    fn insert_child(
-        &mut self,
-        parent_components: &[&str],
-        name: &str,
-        child: InodeId,
-    ) -> SysResult<()> {
+    /// The directory that would hold `name`, when the name is free there.
+    fn free_slot(&self, parent_components: &[&str], name: &str) -> SysResult<InodeId> {
         let parent_id = self.resolve_components(parent_components)?;
-        let parent = self.inodes.get_mut(&parent_id).ok_or(Errno::Enoent)?;
-        match &mut parent.kind {
-            InodeKind::Directory { entries } => {
-                if entries.contains_key(name) {
-                    return Err(Errno::Eexist);
-                }
-                entries.insert(name.to_string(), child);
-                Ok(())
-            }
+        match &self.inode(parent_id)?.kind {
+            InodeKind::Directory { entries } if entries.contains_key(name) => Err(Errno::Eexist),
+            InodeKind::Directory { .. } => Ok(parent_id),
             _ => Err(Errno::Enotdir),
         }
     }
 
+    /// Links `child` into directory `parent_id` as `name` (a slot
+    /// [`Vfs::free_slot`] returned).
+    fn link(&mut self, parent_id: InodeId, name: &str, child: InodeId) {
+        if let Some(InodeKind::Directory { entries }) =
+            self.inodes.get_mut(&parent_id).map(|inode| &mut inode.kind)
+        {
+            entries.insert(name.to_string(), child);
+        }
+    }
+
+    /// The one create path: the slot is checked before anything is
+    /// allocated (`kind` included), so a refused create changes nothing.
+    fn create(
+        &mut self,
+        path: &str,
+        owner: Uid,
+        mode: u16,
+        kind: impl FnOnce() -> InodeKind,
+    ) -> SysResult<InodeId> {
+        let (parent, name) = split_parent(path)?;
+        let parent_id = self.free_slot(&parent, name)?;
+        let id = self.alloc(kind(), owner, mode);
+        self.link(parent_id, name, id);
+        Ok(id)
+    }
+
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str, owner: Uid, mode: u16) -> SysResult<InodeId> {
-        let (parent, name) = split_parent(path)?;
-        let id = self.alloc(
-            InodeKind::Directory {
-                entries: BTreeMap::new(),
-            },
-            owner,
-            mode,
-        );
-        match self.insert_child(&parent, name, id) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                self.inodes.remove(&id);
-                Err(e)
-            }
-        }
+        self.create(path, owner, mode, || InodeKind::Directory {
+            entries: BTreeMap::new(),
+        })
     }
 
     /// Creates an empty regular file.
     pub fn create_file(&mut self, path: &str, owner: Uid, mode: u16) -> SysResult<InodeId> {
-        let (parent, name) = split_parent(path)?;
-        let id = self.alloc(InodeKind::Regular { data: Vec::new() }, owner, mode);
-        match self.insert_child(&parent, name, id) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                self.inodes.remove(&id);
-                Err(e)
-            }
-        }
+        self.create(path, owner, mode, || InodeKind::Regular {
+            data: Vec::new(),
+        })
     }
 
     /// Creates a device node (root-owned by convention, like udev does).
     pub fn mknod_device(&mut self, path: &str, device: DeviceId, mode: u16) -> SysResult<InodeId> {
-        let (parent, name) = split_parent(path)?;
-        let id = self.alloc(InodeKind::DeviceNode { device }, Uid::ROOT, mode);
-        match self.insert_child(&parent, name, id) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                self.inodes.remove(&id);
-                Err(e)
-            }
-        }
+        self.create(path, Uid::ROOT, mode, || InodeKind::DeviceNode { device })
     }
 
-    /// Creates a named pipe backed by `pipe`.
+    /// Creates a named pipe backed by the pipe `pipe` allocates, which it
+    /// is called for only once the path is free.
     pub fn mkfifo(
         &mut self,
         path: &str,
-        pipe: PipeId,
+        pipe: impl FnOnce() -> PipeId,
         owner: Uid,
         mode: u16,
     ) -> SysResult<InodeId> {
-        let (parent, name) = split_parent(path)?;
-        let id = self.alloc(InodeKind::Fifo { pipe }, owner, mode);
-        match self.insert_child(&parent, name, id) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                self.inodes.remove(&id);
-                Err(e)
-            }
-        }
+        self.create(path, owner, mode, || InodeKind::Fifo { pipe: pipe() })
     }
 
     /// Removes a file, device node, or FIFO (not a directory).
@@ -351,8 +334,9 @@ impl Vfs {
     pub fn rename(&mut self, from: &str, to: &str) -> SysResult<()> {
         let id = self.resolve(from)?;
         let (to_parent, to_name) = split_parent(to)?;
-        // Insert at destination first so a failure leaves the source intact.
-        self.insert_child(&to_parent, to_name, id)?;
+        // Link at the destination first so a failure leaves the source intact.
+        let to_parent_id = self.free_slot(&to_parent, to_name)?;
+        self.link(to_parent_id, to_name, id);
         let (from_parent, from_name) = split_parent(from).expect("resolved above");
         let from_parent_id = self
             .resolve_components(&from_parent)
@@ -654,7 +638,7 @@ mod tests {
     fn mkfifo_creates_pipe_node() {
         let mut vfs = Vfs::new();
         let id = vfs
-            .mkfifo("/tmp/fifo", PipeId::from_raw(7), Uid::ROOT, 0o644)
+            .mkfifo("/tmp/fifo", || PipeId::from_raw(7), Uid::ROOT, 0o644)
             .unwrap();
         match vfs.inode(id).unwrap().kind() {
             InodeKind::Fifo { pipe } => assert_eq!(*pipe, PipeId::from_raw(7)),

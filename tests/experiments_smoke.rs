@@ -797,7 +797,9 @@ fn assert_campaign_golden(kind: CampaignKind) -> Vec<(&'static str, Option<bool>
         if i == mid {
             checkpoint = Some((rec.snapshot(), rec.events_recorded()));
         }
-        let event = driver.resolve(rec.system(), &stage.action);
+        let event = driver
+            .resolve(rec.system(), &stage.action)
+            .expect("every catalog stage resolves on a protected machine");
         let outcome = rec.apply(event.clone());
         driver.absorb(&stage.action, &outcome);
         outcomes.push((stage.label, outcome_granted(&event, &outcome)));
