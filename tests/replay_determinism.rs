@@ -23,7 +23,7 @@
 use overhaul_core::{
     replay, replay_from, ApplyOutcome, Event, EventLog, Gui, OverhaulConfig, Recorder, System,
 };
-use overhaul_sim::snapshot::Snapshot;
+use overhaul_sim::snapshot::{hash64, Snapshot};
 use overhaul_sim::{FaultSpec, ModelledCost, Pid, SimDuration, SimRng};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{Atom, ClientId, InputPayload, Request, XEvent};
@@ -263,6 +263,28 @@ fn faulted_soak_replays_byte_identically_from_boot() {
     let decoded = EventLog::from_bytes(&log.to_bytes()).expect("log round-trip");
     let replayed = replay(&decoded).expect("replay boots");
     assert_eq!(replayed.state_hash(), recorded.state_hash());
+}
+
+/// Pins the bytes of the faulted, traced recording: `hash64` of its state
+/// section, which carries the fault plan's spec, stream position and crash
+/// schedule; of its trace dump; and of its sketch book's deterministic
+/// plane. A change to where the machine keeps its fault plan or its book
+/// must leave all three alone.
+#[test]
+fn faulted_soak_bytes_are_pinned() {
+    let (mut recorded, _, _, _, _) = record_soak(42, 220);
+    let sketch = hash64(&recorded.sketch_book().canonical_bytes());
+    let trace = hash64(recorded.trace_dump().as_bytes());
+    let state = hash64(recorded.snapshot().state());
+    assert_eq!(
+        (state, trace, sketch),
+        (
+            0xc2f0_8e74_b620_0391,
+            0x6b04_7f5c_303e_2bd5,
+            0x97f3_fb28_22ec_422d,
+        ),
+        "state section, trace dump, canonical sketch bytes"
+    );
 }
 
 #[test]
