@@ -375,7 +375,7 @@ impl ApplyOutcome {
 /// and a replay from any starting point reproduces the same coordinates
 /// (the cursor rides in the snapshot aux).
 pub fn apply_event(system: &mut System, event: &Event) -> ApplyOutcome {
-    system.sketches().note_event();
+    system.kernel_mut().sketch_book_mut().note_event();
     match event {
         Event::Advance(d) => ApplyOutcome::Time(system.advance(*d)),
         Event::Settle => {
@@ -533,6 +533,13 @@ impl Recorder {
     /// mutating it outside [`Recorder::apply`] would break replay).
     pub fn system(&self) -> &System {
         &self.system
+    }
+
+    /// Stamps the recording machine's identity into the exemplars it
+    /// records from now on ([`System::set_sketch_seed`]). The seed is not
+    /// state, so the log does not record it.
+    pub fn set_sketch_seed(&mut self, seed: u64) {
+        self.system.set_sketch_seed(seed);
     }
 
     /// Events recorded so far.

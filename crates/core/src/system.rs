@@ -9,13 +9,14 @@
 use std::fmt;
 
 use overhaul_kernel::error::{Errno, SysResult};
-use overhaul_kernel::netlink::{ChannelState, ConnId, KernelPush, NetlinkError};
+use overhaul_kernel::monitor::AlertRequest;
+use overhaul_kernel::netlink::{ChannelState, ConnId, NetlinkError};
 use overhaul_kernel::syscall::OpenMode;
 use overhaul_kernel::{Kernel, XORG_PATH};
 use overhaul_sim::snapshot::{hash64, Dec, Enc, Hashed, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, ControlPlane, FaultPlan, Fd, Ledger, LedgerError, Mechanism,
-    ModelledCost, Pid, SimDuration, SketchBook, Sketches, Timestamp, Tracer,
+    ModelledCost, Pid, SimDuration, SketchBook, Timestamp, Tracer,
 };
 use overhaul_xserver::geometry::{Point, Rect};
 use overhaul_xserver::overlay::Alert;
@@ -75,17 +76,10 @@ pub struct System {
     x_pid: Pid,
     x_conn: Option<ConnId>,
     config: Hashed<OverhaulConfig>,
-    fault: Option<FaultPlan>,
     /// Shared span tracer. Disabled unless `config.tracing`; clones of this
     /// handle live inside the kernel and the display manager, all writing
     /// into one buffer so `trace_dump` shows the interleaved span tree.
     tracer: Tracer,
-    /// Shared latency-sketch book (the observability plane). Always
-    /// recording — the deterministic plane is a pure function of the event
-    /// sequence, and the wall plane is head-sampled on the hot path. A
-    /// clone lives inside the kernel; the book rides in the snapshot's aux
-    /// section like the tracer buffer (restored verbatim, never hashed).
-    sketches: Sketches,
 }
 
 impl System {
@@ -123,11 +117,8 @@ impl System {
         };
         let mut kernel = Kernel::new(clock.clone(), config.kernel.clone());
         kernel.install_tracer(tracer.clone());
-        let sketches = Sketches::new();
-        kernel.install_sketches(sketches.clone());
-        let fault = config.fault.clone().map(FaultPlan::new);
-        if let Some(plan) = &fault {
-            kernel.install_fault_plan(plan.clone());
+        if let Some(spec) = &config.fault {
+            kernel.install_fault_plan(FaultPlan::new(spec.clone()));
         }
         for device in &config.devices {
             kernel
@@ -157,9 +148,7 @@ impl System {
             x_pid,
             x_conn,
             config: Hashed::new(config),
-            fault,
             tracer,
-            sketches,
         })
     }
 
@@ -247,14 +236,14 @@ impl System {
     }
 
     /// Advances virtual time and runs kernel housekeeping (the shm wait
-    /// list re-arm). If an installed fault plan scheduled a display-manager
+    /// list re-arm). If the kernel's fault plan scheduled a display-manager
     /// crash before `now`, the crash fires here. An advance past the end of
     /// time is refused: nothing changes and the result is `None`.
     pub fn advance(&mut self, d: SimDuration) -> Option<Timestamp> {
         let now = self.clock.advance(d)?;
         let crash_due = self
-            .fault
-            .as_ref()
+            .kernel
+            .fault_plan_mut()
             .is_some_and(|plan| plan.x_crash_due(now));
         if crash_due && self.x_alive() {
             self.crash_x();
@@ -312,9 +301,10 @@ impl System {
         self.kernel.channel_state()
     }
 
-    /// The installed fault plan, if any.
+    /// The kernel's fault plan, if one is installed (at boot from the
+    /// configuration, or later through [`Kernel::install_fault_plan`]).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
+        self.kernel.fault_plan()
     }
 
     /// The kernel-side audit log (a view of [`System::kernel_ledger`]).
@@ -328,33 +318,29 @@ impl System {
         &self.tracer
     }
 
-    /// The shared latency-sketch handle (always recording; see the
-    /// [`overhaul_sim::sketch`] module docs for the two-plane split).
-    pub fn sketches(&self) -> &Sketches {
-        &self.sketches
-    }
-
-    /// A point-in-time copy of the machine's sketch book.
-    pub fn sketch_book(&self) -> SketchBook {
-        self.sketches.book()
+    /// The machine's latency-sketch book, kept by the kernel (always
+    /// recording; see the [`overhaul_sim::sketch`] module docs for the
+    /// two-plane split).
+    pub fn sketch_book(&self) -> &SketchBook {
+        self.kernel.sketch_book()
     }
 
     /// Stamps the machine's identity (its shard seed) into every exemplar
     /// it records from now on. Fleet harnesses call this right after boot.
-    pub fn set_sketch_seed(&self, seed: u64) {
-        self.sketches.set_seed(seed);
+    pub fn set_sketch_seed(&mut self, seed: u64) {
+        self.kernel.sketch_book_mut().set_seed(seed);
     }
 
     /// Installs an exemplar-confirmation watch: while the applied-event
     /// cursor equals `event_idx`, observations of any mechanism in `mechs`
     /// have their `(span id, ledger seq)` captured.
-    pub fn sketch_watch(&self, mechs: Vec<Mechanism>, event_idx: u64) {
-        self.sketches.set_watch(mechs, event_idx);
+    pub fn sketch_watch(&mut self, mechs: Vec<Mechanism>, event_idx: u64) {
+        self.kernel.sketch_book_mut().set_watch(mechs, event_idx);
     }
 
     /// The coordinates captured by the current sketch watch.
-    pub fn sketch_watched(&self) -> Vec<(u64, u64)> {
-        self.sketches.watched()
+    pub fn sketch_watched(&self) -> &[(u64, u64)] {
+        self.kernel.sketch_book().watched()
     }
 
     /// Renders every span recorded so far as a deterministic JSON tree:
@@ -626,34 +612,32 @@ impl System {
     /// manager's overlay. Called automatically by the input/request/device
     /// helpers.
     pub fn pump_alerts(&mut self) {
-        if self.config.integrated_dm {
+        let alerts = if self.config.integrated_dm {
             // Integrated display managers read the monitor queue directly.
-            for alert in self.kernel.take_alerts_direct() {
-                self.x.show_alert_detailed(
-                    &alert.process_name,
-                    &alert.op.to_string(),
-                    alert.granted,
-                    alert.reason.as_deref(),
-                );
-            }
-            return;
-        }
-        let Some(conn) = self.x_conn else { return };
-        let Ok(pushes) = self.kernel.netlink_take_pushes(conn) else {
+            self.kernel.take_alerts_direct()
+        } else if let Some(conn) = self.x_conn {
+            self.kernel.netlink_take_pushes(conn).unwrap_or_default()
+        } else {
             return;
         };
-        for push in pushes {
-            match push {
-                KernelPush::DisplayAlert(alert) => {
-                    self.x.show_alert_detailed(
-                        &alert.process_name,
-                        &alert.op.to_string(),
-                        alert.granted,
-                        alert.reason.as_deref(),
-                    );
-                }
-            }
+        self.show_alerts(alerts, false);
+    }
+
+    /// Renders kernel alert requests on the overlay, `replayed` marking
+    /// those buffered across a display-manager restart. Returns how many
+    /// were shown.
+    fn show_alerts(&mut self, alerts: Vec<AlertRequest>, replayed: bool) -> usize {
+        let shown = alerts.len();
+        for alert in alerts {
+            self.x.show_alert(
+                &alert.process_name,
+                &alert.op.to_string(),
+                alert.granted,
+                alert.reason.as_deref(),
+                replayed,
+            );
         }
+        shown
     }
 
     // ---------------------------------------------------------------
@@ -707,21 +691,7 @@ impl System {
         // kernel's sequence-number dedup plus its push buffer guarantee
         // each alert reaches the overlay exactly once.
         let pushes = self.kernel.netlink_take_pushes(conn).unwrap_or_default();
-        let mut replayed = 0;
-        for push in pushes {
-            match push {
-                KernelPush::DisplayAlert(alert) => {
-                    self.x.show_alert_replayed_detailed(
-                        &alert.process_name,
-                        &alert.op.to_string(),
-                        alert.granted,
-                        alert.reason.as_deref(),
-                    );
-                    replayed += 1;
-                }
-            }
-        }
-        Ok(replayed)
+        Ok(self.show_alerts(pushes, true))
     }
 
     /// Every alert shown so far.
@@ -734,9 +704,9 @@ impl System {
     // ---------------------------------------------------------------
 
     /// Writes the machine's primary state (a snapshot's state section):
-    /// virtual time, configuration, display-manager identity, the
-    /// fault-plan schedule and RNG position, and the full kernel and
-    /// X-server state. Derived caches are excluded — restore rebuilds them.
+    /// virtual time, configuration, display-manager identity, and the full
+    /// kernel (its fault plan first) and X-server state. Derived caches are
+    /// excluded — restore rebuilds them.
     /// In digest mode ([`Enc::digest`]) the same field list writes what
     /// [`System::state_hash`] hashes.
     fn export_state(&self, enc: &mut Enc) {
@@ -744,25 +714,18 @@ impl System {
         self.config.pack(enc);
         self.x_pid.pack(enc);
         self.x_conn.pack(enc);
-        match &self.fault {
-            None => false.pack(enc),
-            Some(plan) => {
-                true.pack(enc);
-                plan.export(enc);
-            }
-        }
         self.kernel.export_snapshot(enc);
         self.x.export_snapshot(enc);
     }
 
     /// Serializes the aux section: observability state that restores
     /// verbatim but is deliberately excluded from [`System::state_hash`]
-    /// (the tracer's span buffer and the kernel metrics registry).
+    /// (the tracer's span buffer, then the kernel's metrics registry and
+    /// sketch book).
     fn export_aux(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         self.tracer.export(&mut enc);
-        self.kernel.export_metrics_snapshot(&mut enc);
-        self.sketches.export(&mut enc);
+        self.kernel.export_aux(&mut enc);
         enc.into_bytes()
     }
 
@@ -792,12 +755,13 @@ impl System {
         // Recorded after the export so the observation is not baked into
         // the snapshot it measures (the aux book stays a prefix of the
         // live one).
-        self.sketches.record(
+        let seq = self.kernel.ledger().next_seq().saturating_sub(1);
+        self.kernel.sketch_book_mut().record(
             Mechanism::SnapshotExport,
             0,
             t0.elapsed().as_nanos() as u64,
             0,
-            self.kernel.ledger().next_seq().saturating_sub(1),
+            seq,
         );
         snapshot
     }
@@ -824,19 +788,11 @@ impl System {
         let config = OverhaulConfig::unpack(&mut dec)?;
         let x_pid = Pid::unpack(&mut dec)?;
         let x_conn = Option::<ConnId>::unpack(&mut dec)?;
-        let fault = if bool::unpack(&mut dec)? {
-            Some(FaultPlan::import(&mut dec)?)
-        } else {
-            None
-        };
         let clock = Clock::starting_at(now);
-        let mut kernel =
-            Kernel::import_snapshot(&mut dec, clock.clone(), tracer.clone(), fault.clone())?;
+        let mut kernel = Kernel::import_snapshot(&mut dec, clock.clone(), tracer.clone())?;
         let x = XServer::import_snapshot(&mut dec, clock.clone(), tracer.clone())?;
         dec.finish()?;
-        kernel.import_metrics_snapshot(&mut aux)?;
-        let sketches = Sketches::import(&mut aux)?;
-        kernel.install_sketches(sketches.clone());
+        kernel.import_aux(&mut aux)?;
         aux.finish()?;
         Ok(System {
             clock,
@@ -845,9 +801,7 @@ impl System {
             x_pid,
             x_conn,
             config: Hashed::new(config),
-            fault,
             tracer,
-            sketches,
         })
     }
 
@@ -867,12 +821,13 @@ impl System {
         *self = restored;
         // Into the restored book: the rollback's cost is an observation of
         // the machine that lives on, not of the discarded instance.
-        self.sketches.record(
+        let seq = self.kernel.ledger().next_seq().saturating_sub(1);
+        self.kernel.sketch_book_mut().record(
             Mechanism::SnapshotRestore,
             0,
             t0.elapsed().as_nanos() as u64,
             0,
-            self.kernel.ledger().next_seq().saturating_sub(1),
+            seq,
         );
         Ok(())
     }

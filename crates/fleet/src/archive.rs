@@ -170,7 +170,7 @@ pub fn resolve_exemplar_via(
         System::from_snapshot(&archive.snapshot)
             .map_err(|e| format!("snapshot restore failed: {e:?}"))?
     } else {
-        let system = System::try_new(archive.log.config.clone())
+        let mut system = System::try_new(archive.log.config.clone())
             .map_err(|e| format!("replay boot failed: {e:?}"))?;
         system.set_sketch_seed(archive.seed);
         system
@@ -180,7 +180,7 @@ pub fn resolve_exemplar_via(
     for event in &archive.log.events[start..target] {
         apply_event(&mut system, event);
     }
-    let watched = system.sketch_watched();
+    let watched = system.sketch_watched().to_vec();
     let confirmed = watched.contains(&(exemplar.span, exemplar.ledger_seq));
     Ok(ExemplarResolution {
         shard_index: archive.index,

@@ -497,7 +497,7 @@ impl Run<'_> {
             sim_ms: system.now().as_millis(),
             metrics: safe_metrics(&system),
             campaign,
-            sketches: safe_sketches(&system),
+            sketches: system.sketch_book().clone(),
             ledger: safe_ledger(&system),
             log,
             snap_idx,
@@ -750,12 +750,6 @@ fn boot_failure(plan: &ShardPlan, message: String) -> ShardReport {
 /// by a contained panic.
 fn safe_metrics(system: &System) -> MetricsRegistry {
     panic::catch_unwind(AssertUnwindSafe(|| system.metrics_registry())).unwrap_or_default()
-}
-
-/// Copies the shard's sketch book out, tolerating a contained panic (the
-/// handle's lock is poison-tolerant, but the copy itself stays guarded).
-fn safe_sketches(system: &System) -> SketchBook {
-    panic::catch_unwind(AssertUnwindSafe(|| system.sketch_book())).unwrap_or_default()
 }
 
 /// Digests the shard's kernel ledger, tolerating a contained panic.

@@ -65,8 +65,8 @@ use overhaul_sim::snapshot::Hashed;
 use overhaul_sim::work::{self, ModelledCost};
 use overhaul_sim::{
     AuditCategory, AuditLog, ChannelFault, Clock, ConfigKey, ControlPlane, Effect, FaultPlan,
-    Ledger, LedgerEntry, Mechanism, MetricsRegistry, Pid, RuleKind, SimDuration, Sketches, SpanId,
-    Timestamp, TraceValue, Tracer, Uid,
+    Ledger, LedgerEntry, Mechanism, MetricsRegistry, Pid, RuleKind, SimDuration, SketchBook,
+    SpanId, Timestamp, TraceValue, Tracer, Uid,
 };
 
 use crate::devfs::DeviceMap;
@@ -79,9 +79,7 @@ use crate::ipc::shm::ShmTable;
 use crate::ipc::unix_socket::SocketTable;
 use crate::mm::MemoryManager;
 use crate::monitor::{AlertRequest, Decision, MonitorConfig, PermissionMonitor, ResourceOp};
-use crate::netlink::{
-    ChannelState, ConnId, KernelPush, Netlink, NetlinkError, NetlinkMessage, NetlinkReply,
-};
+use crate::netlink::{ChannelState, ConnId, Netlink, NetlinkError, NetlinkMessage, NetlinkReply};
 use crate::policy::{
     CacheStats, DecisionOutcome, DecisionTrace, IngestEvent, OpRequest, PolicyEngine,
     PolicySnapshot, TaskPolicyView, VerdictCache,
@@ -181,8 +179,10 @@ pub struct Kernel {
     /// every control-plane mutation is appended here as a typed entry; the
     /// audit log is a view of its non-silent entries.
     pub(crate) ledger: Ledger,
-    /// Optional fault plan governing channel faults and boot-time stat
-    /// failures. `None` (the default) injects nothing.
+    /// Optional fault plan governing channel faults, boot-time stat
+    /// failures and scheduled display-manager crashes. `None` (the default)
+    /// injects nothing. The kernel is its only owner, and it is the first
+    /// thing [`Kernel::export_snapshot`] writes.
     fault: Option<FaultPlan>,
     /// Whether mediation requires a live display channel: when set, every
     /// decision while the channel is [`ChannelState::Down`] is a fail-closed
@@ -225,12 +225,12 @@ pub struct Kernel {
     /// rebuilt, replay divergences). Never serialized — they describe this
     /// kernel instance's snapshot activity, not simulation state.
     snapshot_stats: SnapshotStats,
-    /// Shared latency-sketch recording handle (the observability plane).
-    /// The system harness installs its shared handle so the kernel and the
-    /// rest of the machine record into one book. Never serialized here —
-    /// the book rides in the machine snapshot's aux section, like the
-    /// tracer buffer.
-    sketch: Sketches,
+    /// The machine's latency-sketch book (the observability plane). Always
+    /// recording: the deterministic plane is a pure function of the event
+    /// sequence, and the wall plane is head-sampled on the hot path. Not
+    /// state: it rides in the snapshot's aux section after the metrics
+    /// registry ([`Kernel::export_aux`]).
+    sketch: SketchBook,
     /// Modelled real-world cost charged by driver opens, netlink exchanges
     /// and file creations. Never serialized, like `snapshot_stats`.
     cost: ModelledCost,
@@ -293,7 +293,7 @@ impl Kernel {
             tracer: Tracer::disabled(),
             metrics: MetricsRegistry::new(),
             snapshot_stats: SnapshotStats::default(),
-            sketch: Sketches::new(),
+            sketch: SketchBook::new(),
             cost: ModelledCost::default(),
             vfs: Hashed::new(vfs),
             clock,
@@ -426,8 +426,10 @@ impl Kernel {
         &self.device_map
     }
 
-    /// Installs a fault plan governing channel sends, kernel pushes, and
-    /// VM-map re-authentication.
+    /// Installs a fault plan governing channel sends, kernel pushes, VM-map
+    /// re-authentication and scheduled display-manager crashes, replacing
+    /// any earlier plan. The plan is state from here on: snapshots carry it
+    /// and the state hash covers it.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
     }
@@ -435,6 +437,11 @@ impl Kernel {
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
+    }
+
+    /// The installed fault plan, mutably (arming, crash-schedule draws).
+    pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
+        self.fault.as_mut()
     }
 
     /// Installs a (shared) tracer handle. Every mediation path — decisions,
@@ -449,16 +456,17 @@ impl Kernel {
         &self.tracer
     }
 
-    /// Installs a (shared) latency-sketch handle. The mediation hot path
+    /// The machine's latency-sketch book. The mediation hot path
     /// (head-sampled), channel exchanges, page faults, and ledger appends
     /// record per-mechanism latency observations into it.
-    pub fn install_sketches(&mut self, sketch: Sketches) {
-        self.sketch = sketch;
+    pub fn sketch_book(&self) -> &SketchBook {
+        &self.sketch
     }
 
-    /// The kernel's sketch handle.
-    pub fn sketches(&self) -> &Sketches {
-        &self.sketch
+    /// The sketch book, mutably (the event cursor, the exemplar seed and
+    /// watch, and observations made outside the kernel).
+    pub fn sketch_book_mut(&mut self) -> &mut SketchBook {
+        &mut self.sketch
     }
 
     /// Modelled cost this kernel instance has charged (see
@@ -730,7 +738,7 @@ impl Kernel {
     /// [`NetlinkError::AuthTransient`] when the installed fault plan fails
     /// the VFS stat backing the introspection (callers may retry).
     pub fn netlink_connect(&mut self, pid: Pid) -> Result<ConnId, NetlinkError> {
-        if self.fault.as_ref().is_some_and(|f| f.vfs_stat_fails()) {
+        if self.fault.as_mut().is_some_and(|f| f.vfs_stat_fails()) {
             self.ledger.append(LedgerEntry::event(
                 self.clock.now(),
                 AuditCategory::ChannelEvent,
@@ -857,7 +865,7 @@ impl Kernel {
         loop {
             let fault = self
                 .fault
-                .as_ref()
+                .as_mut()
                 .map_or(ChannelFault::Deliver, |f| f.next_channel_fault());
             match fault {
                 ChannelFault::Deliver => break,
@@ -1111,7 +1119,7 @@ impl Kernel {
     /// # Errors
     ///
     /// [`NetlinkError::UnknownConnection`] for unauthenticated callers.
-    pub fn netlink_take_pushes(&mut self, conn: ConnId) -> Result<Vec<KernelPush>, NetlinkError> {
+    pub fn netlink_take_pushes(&mut self, conn: ConnId) -> Result<Vec<AlertRequest>, NetlinkError> {
         self.netlink.authenticate(conn)?;
         self.push_buffer.extend(self.monitor.take_alerts());
 
@@ -1127,21 +1135,21 @@ impl Kernel {
             budget -= 1;
             let fault = self
                 .fault
-                .as_ref()
+                .as_mut()
                 .map_or(ChannelFault::Deliver, |f| f.next_channel_fault());
             match fault {
-                ChannelFault::Deliver => delivered.push(KernelPush::DisplayAlert(alert)),
+                ChannelFault::Deliver => delivered.push(alert),
                 ChannelFault::Delay(d) => {
                     self.clock.advance(d);
                     degraded = true;
-                    delivered.push(KernelPush::DisplayAlert(alert));
+                    delivered.push(alert);
                 }
                 ChannelFault::Duplicate => {
                     // The duplicate copy is suppressed receiver-side;
                     // deliver once and count the suppression.
                     self.monitor.note_dup_suppressed();
                     degraded = true;
-                    delivered.push(KernelPush::DisplayAlert(alert));
+                    delivered.push(alert);
                 }
                 ChannelFault::Drop => {
                     // Lost in flight: keep it buffered for the next drain
@@ -1894,8 +1902,7 @@ mod tests {
     #[test]
     fn reordered_notification_lands_after_later_traffic() {
         let mut k = kernel();
-        let plan = FaultPlan::new(FaultSpec::quiet(3).with_reorder_p(1.0));
-        k.install_fault_plan(plan.clone());
+        k.install_fault_plan(FaultPlan::new(FaultSpec::quiet(3).with_reorder_p(1.0)));
         let x = k.sys_spawn(Pid::INIT, XORG_PATH).unwrap();
         let app = k.sys_spawn(Pid::INIT, "/usr/bin/app").unwrap();
         let conn = k.netlink_connect(x).unwrap();
@@ -1915,7 +1922,7 @@ mod tests {
 
         // The next message overtakes it: the query is answered *before* the
         // notification arrives, so it must deny.
-        plan.set_armed(false);
+        k.fault_plan_mut().expect("plan installed").set_armed(false);
         let reply = k
             .netlink_send(
                 conn,
@@ -1960,8 +1967,7 @@ mod tests {
     #[test]
     fn dropped_pushes_stay_buffered_until_redelivered() {
         let mut k = kernel();
-        let plan = FaultPlan::new(FaultSpec::quiet(5).with_drop_p(1.0));
-        k.install_fault_plan(plan.clone());
+        k.install_fault_plan(FaultPlan::new(FaultSpec::quiet(5).with_drop_p(1.0)));
         let x = k.sys_spawn(Pid::INIT, XORG_PATH).unwrap();
         let conn = k.netlink_connect(x).unwrap();
         let outcome = DecisionOutcome {
@@ -1978,7 +1984,7 @@ mod tests {
         assert!(delivered.is_empty(), "push lost in flight");
         assert_eq!(k.pending_push_count(), 1, "still buffered kernel-side");
 
-        plan.set_armed(false);
+        k.fault_plan_mut().expect("plan installed").set_armed(false);
         let delivered = k.netlink_take_pushes(conn).unwrap();
         assert_eq!(delivered.len(), 1, "replayed exactly once");
         assert_eq!(k.pending_push_count(), 0);
@@ -1994,8 +2000,7 @@ mod tests {
             .expect("attach");
         let helper = k.sys_spawn(Pid::INIT, UDEV_HELPER_PATH).unwrap();
         let conn = k.netlink_connect(helper).unwrap();
-        let plan = FaultPlan::new(FaultSpec::quiet(6).with_drop_p(1.0));
-        k.install_fault_plan(plan.clone());
+        k.install_fault_plan(FaultPlan::new(FaultSpec::quiet(6).with_drop_p(1.0)));
 
         let err = k
             .udev_rename_device_via_channel(conn, "/dev/snd/mic0", "/dev/snd/mic1")
@@ -2006,7 +2011,7 @@ mod tests {
         assert!(k.device_map().is_quarantined(id));
 
         // A later update that gets through restores the mapping.
-        plan.set_armed(false);
+        k.fault_plan_mut().expect("plan installed").set_armed(false);
         k.netlink_send(
             conn,
             NetlinkMessage::DeviceMapUpdate {

@@ -30,7 +30,7 @@ use overhaul_sim::{Pid, Timestamp};
 // a mirror type.
 pub use overhaul_sim::ChannelState;
 
-use crate::monitor::{AlertRequest, Decision, ResourceOp};
+use crate::monitor::{Decision, ResourceOp};
 use crate::process::ProcessTable;
 use crate::vfs::Vfs;
 
@@ -88,13 +88,6 @@ pub enum NetlinkReply {
     Ack,
     /// `R_{A,t+n}`: answer to a permission query.
     QueryResponse(Decision),
-}
-
-/// A message pushed from the kernel to the display manager.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KernelPush {
-    /// `V_{A,op}`: render a visual alert.
-    DisplayAlert(AlertRequest),
 }
 
 /// Why a connection attempt or message was refused.

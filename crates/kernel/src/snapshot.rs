@@ -18,15 +18,16 @@
 //!   change any verdict, span, or watermark, the replay-determinism suite
 //!   would catch the divergence.
 //!
-//! The shared virtual clock, tracer and fault plan are owned by the
-//! system harness, which serializes each once and hands the imported
-//! handles back in — the kernel never duplicates them. The modelled-cost
-//! counter, like [`SnapshotStats`], is not state: a restored kernel
-//! starts it at zero.
+//! The kernel owns its fault plan, which opens its state, and its
+//! latency-sketch book, which rides in the aux section after the metrics
+//! registry. The shared virtual clock and tracer are serialized once by the
+//! system harness, which hands the imported handles back in. The
+//! modelled-cost counter, like [`SnapshotStats`], is not state: a restored
+//! kernel starts it at zero.
 
 use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
 use overhaul_sim::work::ModelledCost;
-use overhaul_sim::{impl_pack, Clock, FaultPlan, MetricsRegistry, Sketches, Tracer};
+use overhaul_sim::{impl_pack, Clock, MetricsRegistry, SketchBook, Tracer};
 
 use crate::policy::VerdictCache;
 use crate::{Kernel, KernelConfig};
@@ -93,9 +94,10 @@ impl Kernel {
     /// Serializes the kernel's primary state into `enc`.
     ///
     /// Pure state only: derived caches are skipped (see the module docs)
-    /// and the shared clock/tracer/fault handles are serialized by the
-    /// system harness.
+    /// and the shared clock and tracer are serialized by the system
+    /// harness.
     pub fn export_snapshot(&self, enc: &mut Enc) {
+        self.fault.pack(enc);
         self.config.pack(enc);
         self.channel_required.pack(enc);
         self.policy_epoch.pack(enc);
@@ -119,13 +121,13 @@ impl Kernel {
     }
 
     /// Rebuilds a kernel from state serialized by
-    /// [`Kernel::export_snapshot`], wiring in the shared `clock`, `tracer`
-    /// and `fault` handles the system harness imported.
+    /// [`Kernel::export_snapshot`], wiring in the shared `clock` and
+    /// `tracer` handles the system harness imported.
     ///
     /// The verdict cache (including its `explain_last` cells) and
     /// per-connection dup-suppression sets come back *empty* (counted in
-    /// [`SnapshotStats`]); metrics start empty until
-    /// [`Kernel::import_metrics_snapshot`] replays the aux section.
+    /// [`SnapshotStats`]); metrics and the sketch book start empty until
+    /// [`Kernel::import_aux`] replays the aux section.
     ///
     /// # Errors
     ///
@@ -134,9 +136,9 @@ impl Kernel {
         dec: &mut Dec<'_>,
         clock: Clock,
         tracer: Tracer,
-        fault: Option<FaultPlan>,
     ) -> Result<Kernel, SnapshotError> {
         let mut kernel = Kernel {
+            fault: Pack::unpack(dec)?,
             config: Pack::unpack(dec)?,
             channel_required: Pack::unpack(dec)?,
             policy_epoch: Pack::unpack(dec)?,
@@ -160,11 +162,10 @@ impl Kernel {
             verdict_cache: VerdictCache::new(),
             metrics: MetricsRegistry::new(),
             snapshot_stats: SnapshotStats::default(),
-            sketch: Sketches::new(),
+            sketch: SketchBook::new(),
             cost: ModelledCost::default(),
             clock,
             tracer,
-            fault,
         };
         kernel.snapshot_stats.restore_rebuild_verdict_cache += 1;
         kernel.snapshot_stats.restore_rebuild_dup_suppress +=
@@ -172,19 +173,23 @@ impl Kernel {
         Ok(kernel)
     }
 
-    /// Serializes the kernel's persistent metrics registry (aux section:
-    /// restored verbatim but excluded from the state hash).
-    pub fn export_metrics_snapshot(&self, enc: &mut Enc) {
+    /// Serializes the kernel's persistent metrics registry, then its
+    /// sketch book (aux section: restored verbatim but excluded from the
+    /// state hash).
+    pub fn export_aux(&self, enc: &mut Enc) {
         self.metrics.pack(enc);
+        self.sketch.pack(enc);
     }
 
-    /// Restores the persistent metrics registry from the aux section.
+    /// Restores the persistent metrics registry and the sketch book from
+    /// the aux section.
     ///
     /// # Errors
     ///
     /// Any [`SnapshotError`] from a truncated or corrupt aux section.
-    pub fn import_metrics_snapshot(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapshotError> {
+    pub fn import_aux(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapshotError> {
         self.metrics = Pack::unpack(dec)?;
+        self.sketch = Pack::unpack(dec)?;
         Ok(())
     }
 }

@@ -1028,13 +1028,10 @@ mod tests {
         let _ = f.kernel.sys_open(f.app, "/dev/video0", OpenMode::ReadOnly);
         let pushes = f.kernel.netlink_take_pushes(f.conn).unwrap();
         assert_eq!(pushes.len(), 1);
-        match &pushes[0] {
-            crate::netlink::KernelPush::DisplayAlert(alert) => {
-                assert_eq!(alert.op, ResourceOp::Cam);
-                assert!(!alert.granted);
-                assert_eq!(alert.process_name, "app");
-            }
-        }
+        let alert = &pushes[0];
+        assert_eq!(alert.op, ResourceOp::Cam);
+        assert!(!alert.granted);
+        assert_eq!(alert.process_name, "app");
     }
 
     #[test]
@@ -1046,12 +1043,8 @@ mod tests {
             .unwrap();
         let pushes = f.kernel.netlink_take_pushes(f.conn).unwrap();
         assert_eq!(pushes.len(), 1);
-        match &pushes[0] {
-            crate::netlink::KernelPush::DisplayAlert(alert) => {
-                assert!(alert.granted);
-                assert_eq!(alert.op, ResourceOp::Mic);
-            }
-        }
+        assert!(pushes[0].granted);
+        assert_eq!(pushes[0].op, ResourceOp::Mic);
     }
 
     #[test]

@@ -10,16 +10,15 @@
 //! which virtual times the X server crashes. Because the plan is a pure
 //! function of its seed, every fault scenario is replayable bit-for-bit.
 //!
-//! The plan is a shared handle (like [`crate::Clock`]): the kernel holds one
-//! clone for channel sends, the system harness holds another for scheduled
-//! crashes, and both observe the same deterministic stream.
+//! The plan is a plain value with one owner, the kernel: it draws channel
+//! faults and stat failures from it, and the system harness reaches the
+//! crash schedule through the kernel. Every draw takes `&mut self`, so the
+//! plan is state like any other and rides in the kernel's snapshot.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use crate::impl_pack;
 use crate::rng::SimRng;
-use crate::snapshot::{Dec, Enc, Pack, SnapshotError};
 use crate::time::{SimDuration, Timestamp};
 
 /// The fate of one channel message, drawn from a [`FaultPlan`].
@@ -144,20 +143,15 @@ pub struct FaultStats {
     pub crashes_fired: u64,
 }
 
+/// A compiled fault plan: the spec, the position of its fault stream, the
+/// remaining crash schedule, the tallies and the armed flag.
 #[derive(Debug)]
-struct Inner {
+pub struct FaultPlan {
     spec: FaultSpec,
     rng: SimRng,
     crashes: VecDeque<Timestamp>,
     stats: FaultStats,
     armed: bool,
-}
-
-/// A compiled, shareable fault plan. Cloning yields another handle onto the
-/// same deterministic stream (the [`crate::Clock`] idiom).
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    inner: Arc<Mutex<Inner>>,
 }
 
 impl FaultPlan {
@@ -167,98 +161,89 @@ impl FaultPlan {
         let mut crash_times = spec.x_crash_at.clone();
         crash_times.sort();
         FaultPlan {
-            inner: Arc::new(Mutex::new(Inner {
-                rng: SimRng::seeded(spec.seed),
-                crashes: crash_times.into(),
-                stats: FaultStats::default(),
-                armed: true,
-                spec,
-            })),
+            rng: SimRng::seeded(spec.seed),
+            crashes: crash_times.into(),
+            stats: FaultStats::default(),
+            armed: true,
+            spec,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("fault plan lock")
-    }
-
     /// The spec this plan was compiled from.
-    pub fn spec(&self) -> FaultSpec {
-        self.lock().spec.clone()
+    pub fn spec(&self) -> &FaultSpec {
+        &self.spec
     }
 
     /// Arms or disarms channel/stat fault injection (scheduled crashes are
     /// unaffected). Disarmed plans report [`ChannelFault::Deliver`] without
     /// consuming randomness, so tests can inject a burst of faults and then
     /// let the system converge.
-    pub fn set_armed(&self, armed: bool) {
-        self.lock().armed = armed;
+    pub fn set_armed(&mut self, armed: bool) {
+        self.armed = armed;
     }
 
     /// Whether channel/stat fault injection is currently armed.
     pub fn armed(&self) -> bool {
-        self.lock().armed
+        self.armed
     }
 
     /// Draws the fate of the next channel message.
-    pub fn next_channel_fault(&self) -> ChannelFault {
-        let mut inner = self.lock();
-        if !inner.armed {
+    pub fn next_channel_fault(&mut self) -> ChannelFault {
+        if !self.armed {
             return ChannelFault::Deliver;
         }
-        inner.stats.drawn += 1;
-        let u = inner.rng.unit();
-        let spec = &inner.spec;
+        self.stats.drawn += 1;
+        let u = self.rng.unit();
+        let spec = &self.spec;
         let mut edge = spec.drop_p;
         if u < edge {
-            inner.stats.drops += 1;
+            self.stats.drops += 1;
             return ChannelFault::Drop;
         }
         edge += spec.delay_p;
         if u < edge {
-            let (lo, hi) = (inner.spec.delay_min, inner.spec.delay_max);
+            let (lo, hi) = (spec.delay_min, spec.delay_max);
             let d = if hi <= lo {
                 lo
             } else {
-                inner.rng.duration_between(lo, hi)
+                self.rng.duration_between(lo, hi)
             };
-            inner.stats.delays += 1;
+            self.stats.delays += 1;
             return ChannelFault::Delay(d);
         }
         edge += spec.duplicate_p;
         if u < edge {
-            inner.stats.duplicates += 1;
+            self.stats.duplicates += 1;
             return ChannelFault::Duplicate;
         }
         edge += spec.reorder_p;
         if u < edge {
-            inner.stats.reorders += 1;
+            self.stats.reorders += 1;
             return ChannelFault::Reorder;
         }
         ChannelFault::Deliver
     }
 
     /// Whether the next VFS `stat` during peer (re-)authentication fails.
-    pub fn vfs_stat_fails(&self) -> bool {
-        let mut inner = self.lock();
-        if !inner.armed || inner.spec.vfs_stat_fail_p <= 0.0 {
+    pub fn vfs_stat_fails(&mut self) -> bool {
+        let p = self.spec.vfs_stat_fail_p;
+        if !self.armed || p <= 0.0 {
             return false;
         }
-        let p = inner.spec.vfs_stat_fail_p;
-        let fails = inner.rng.chance(p);
+        let fails = self.rng.chance(p);
         if fails {
-            inner.stats.vfs_stat_failures += 1;
+            self.stats.vfs_stat_failures += 1;
         }
         fails
     }
 
     /// Pops every scheduled crash with time `<= now`, returning whether any
     /// fired. Each scheduled crash fires exactly once.
-    pub fn x_crash_due(&self, now: Timestamp) -> bool {
-        let mut inner = self.lock();
+    pub fn x_crash_due(&mut self, now: Timestamp) -> bool {
         let mut fired = false;
-        while inner.crashes.front().is_some_and(|&t| t <= now) {
-            inner.crashes.pop_front();
-            inner.stats.crashes_fired += 1;
+        while self.crashes.front().is_some_and(|&t| t <= now) {
+            self.crashes.pop_front();
+            self.stats.crashes_fired += 1;
             fired = true;
         }
         fired
@@ -266,50 +251,26 @@ impl FaultPlan {
 
     /// The next scheduled crash time, if any remain.
     pub fn next_crash_at(&self) -> Option<Timestamp> {
-        self.lock().crashes.front().copied()
+        self.crashes.front().copied()
     }
 
     /// Counters of faults injected so far.
     pub fn stats(&self) -> FaultStats {
-        self.lock().stats
-    }
-
-    /// Serializes the plan's complete state — spec, RNG stream position,
-    /// remaining crash schedule, stats, armed flag — for a checkpoint. Part
-    /// of the hashed state section: every field determines future faults or
-    /// is a pure function of the event history.
-    pub fn export(&self, enc: &mut Enc) {
-        let inner = self.lock();
-        inner.spec.pack(enc);
-        inner.rng.pack(enc);
-        inner.crashes.pack(enc);
-        inner.stats.pack(enc);
-        inner.armed.pack(enc);
-    }
-
-    /// Rebuilds a plan from [`FaultPlan::export`] state. The restored plan
-    /// continues the exact fault stream of the uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] raised by malformed input.
-    pub fn import(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let spec = FaultSpec::unpack(dec)?;
-        let rng = SimRng::unpack(dec)?;
-        let crashes = VecDeque::<Timestamp>::unpack(dec)?;
-        let stats = FaultStats::unpack(dec)?;
-        let armed = bool::unpack(dec)?;
-        Ok(FaultPlan {
-            inner: Arc::new(Mutex::new(Inner {
-                spec,
-                rng,
-                crashes,
-                stats,
-                armed,
-            })),
-        })
+        self.stats
     }
 }
+
+// The plan's complete state — spec, RNG stream position, remaining crash
+// schedule, stats, armed flag — in the hashed state section: every field
+// determines future faults or is a pure function of the event history. A
+// restored plan continues the exact fault stream of the uninterrupted run.
+impl_pack!(FaultPlan {
+    spec,
+    rng,
+    crashes,
+    stats,
+    armed
+});
 
 impl_pack!(FaultSpec {
     seed,
@@ -336,10 +297,11 @@ impl_pack!(FaultStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Dec, Enc, Pack};
 
     #[test]
     fn quiet_plan_always_delivers() {
-        let plan = FaultPlan::new(FaultSpec::quiet(1));
+        let mut plan = FaultPlan::new(FaultSpec::quiet(1));
         for _ in 0..64 {
             assert_eq!(plan.next_channel_fault(), ChannelFault::Deliver);
         }
@@ -355,8 +317,8 @@ mod tests {
             .with_delay_p(0.3)
             .with_duplicate_p(0.2)
             .with_reorder_p(0.1);
-        let a = FaultPlan::new(spec.clone());
-        let b = FaultPlan::new(spec);
+        let mut a = FaultPlan::new(spec.clone());
+        let mut b = FaultPlan::new(spec);
         for _ in 0..256 {
             assert_eq!(a.next_channel_fault(), b.next_channel_fault());
         }
@@ -364,7 +326,7 @@ mod tests {
 
     #[test]
     fn certain_drop_always_drops() {
-        let plan = FaultPlan::new(FaultSpec::quiet(7).with_drop_p(1.0));
+        let mut plan = FaultPlan::new(FaultSpec::quiet(7).with_drop_p(1.0));
         for _ in 0..16 {
             assert_eq!(plan.next_channel_fault(), ChannelFault::Drop);
         }
@@ -374,7 +336,7 @@ mod tests {
 
     #[test]
     fn delay_draws_stay_in_window() {
-        let plan = FaultPlan::new(
+        let mut plan = FaultPlan::new(
             FaultSpec::quiet(9)
                 .with_delay_p(1.0)
                 .with_delay_window(SimDuration::from_millis(5), SimDuration::from_millis(9)),
@@ -391,7 +353,7 @@ mod tests {
 
     #[test]
     fn degenerate_delay_window_uses_min() {
-        let plan = FaultPlan::new(
+        let mut plan = FaultPlan::new(
             FaultSpec::quiet(9)
                 .with_delay_p(1.0)
                 .with_delay_window(SimDuration::from_millis(30), SimDuration::from_millis(30)),
@@ -404,7 +366,7 @@ mod tests {
 
     #[test]
     fn crash_schedule_fires_each_time_once() {
-        let plan = FaultPlan::new(FaultSpec::quiet(1).with_x_crashes(vec![
+        let mut plan = FaultPlan::new(FaultSpec::quiet(1).with_x_crashes(vec![
             Timestamp::from_millis(500),
             Timestamp::from_millis(100),
         ]));
@@ -419,7 +381,7 @@ mod tests {
 
     #[test]
     fn disarmed_plan_injects_nothing_and_rearms() {
-        let plan = FaultPlan::new(FaultSpec::quiet(3).with_drop_p(1.0));
+        let mut plan = FaultPlan::new(FaultSpec::quiet(3).with_drop_p(1.0));
         plan.set_armed(false);
         assert!(!plan.armed());
         assert_eq!(plan.next_channel_fault(), ChannelFault::Deliver);
@@ -429,24 +391,14 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_stream() {
-        let a = FaultPlan::new(FaultSpec::quiet(5).with_drop_p(0.5));
-        let b = a.clone();
-        let draws_a: Vec<_> = (0..8).map(|_| a.next_channel_fault()).collect();
-        assert_eq!(a.stats().drawn, 8);
-        assert_eq!(b.stats().drawn, 8, "clone sees the same counters");
-        let _ = draws_a;
-    }
-
-    #[test]
     fn export_import_continues_the_fault_stream() {
         let spec = FaultSpec::quiet(42)
             .with_drop_p(0.3)
             .with_delay_p(0.3)
             .with_duplicate_p(0.1)
             .with_x_crashes(vec![Timestamp::from_millis(900)]);
-        let original = FaultPlan::new(spec.clone());
-        let uninterrupted = FaultPlan::new(spec);
+        let mut original = FaultPlan::new(spec.clone());
+        let mut uninterrupted = FaultPlan::new(spec);
         for _ in 0..100 {
             assert_eq!(
                 original.next_channel_fault(),
@@ -454,10 +406,10 @@ mod tests {
             );
         }
         let mut enc = Enc::new();
-        original.export(&mut enc);
+        original.pack(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        let restored = FaultPlan::import(&mut dec).expect("import");
+        let mut restored = FaultPlan::unpack(&mut dec).expect("unpack");
         dec.finish().expect("fully consumed");
         assert_eq!(restored.stats(), uninterrupted.stats());
         assert_eq!(restored.next_crash_at(), Some(Timestamp::from_millis(900)));
@@ -471,7 +423,7 @@ mod tests {
 
     #[test]
     fn certain_stat_failure_fails() {
-        let plan = FaultPlan::new(FaultSpec::quiet(11).with_vfs_stat_fail_p(1.0));
+        let mut plan = FaultPlan::new(FaultSpec::quiet(11).with_vfs_stat_fail_p(1.0));
         assert!(plan.vfs_stat_fails());
         assert_eq!(plan.stats().vfs_stat_failures, 1);
     }

@@ -70,7 +70,7 @@ pub use ledger::{
     RuleKind, SealedEntry, OP_NAMES,
 };
 pub use rng::SimRng;
-pub use sketch::{Exemplar, Mechanism, Sketch, SketchBook, Sketches, FLEET_QUANTILES};
+pub use sketch::{Exemplar, Mechanism, Sketch, SketchBook, FLEET_QUANTILES};
 pub use snapshot::{Dec, Enc, Pack, Snapshot, SnapshotError};
 pub use time::{Clock, SimDuration, Timestamp};
 pub use trace::{

@@ -27,12 +27,11 @@
 //!   excluded from the canonical bytes, exactly like the tracer buffer is
 //!   aux-not-hashed in snapshots.
 //!
-//! The [`Sketches`] handle is the shared, clonable recording endpoint the
-//! kernel and the assembled machine write through (the same pattern as
-//! [`crate::Tracer`]).
+//! Each machine's book is a plain value owned by its kernel, which records
+//! through `&mut self`; the machine's snapshot carries it in the aux
+//! section, after the kernel's metrics registry.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::snapshot::{Dec, Enc, Pack, Snapshot, SnapshotError};
 
@@ -546,75 +545,6 @@ impl Pack for SketchBook {
             watch: None,
             watched: Vec::new(),
         })
-    }
-}
-
-/// The shared recording handle: clones write into one [`SketchBook`]
-/// behind a mutex, exactly like [`crate::Tracer`] clones share one span
-/// buffer. Always installed (recording is cheap and head-sampled on the
-/// hot path), so the decide serial advances uniformly in every machine.
-#[derive(Debug, Clone, Default)]
-pub struct Sketches(Arc<Mutex<SketchBook>>);
-
-impl Sketches {
-    /// A handle over a fresh empty book.
-    pub fn new() -> Sketches {
-        Sketches::default()
-    }
-
-    /// Wraps an existing book (snapshot restore).
-    pub fn from_book(book: SketchBook) -> Sketches {
-        Sketches(Arc::new(Mutex::new(book)))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SketchBook> {
-        // A panic inside a shard while recording must not poison the whole
-        // fleet's ability to read the book back out.
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records one observation (see [`SketchBook::record`]).
-    pub fn record(&self, mech: Mechanism, virt_ms: u64, wall_ns: u64, span: u64, seq: u64) {
-        self.lock().record(mech, virt_ms, wall_ns, span, seq);
-    }
-
-    /// Advances the applied-event cursor.
-    pub fn note_event(&self) {
-        self.lock().note_event();
-    }
-
-    /// Stamps the recording machine's identity.
-    pub fn set_seed(&self, seed: u64) {
-        self.lock().set_seed(seed);
-    }
-
-    /// Installs a watch (see [`SketchBook::set_watch`]).
-    pub fn set_watch(&self, mechs: Vec<Mechanism>, event_idx: u64) {
-        self.lock().set_watch(mechs, event_idx);
-    }
-
-    /// The coordinates the current watch captured.
-    pub fn watched(&self) -> Vec<(u64, u64)> {
-        self.lock().watched().to_vec()
-    }
-
-    /// A point-in-time copy of the book.
-    pub fn book(&self) -> SketchBook {
-        self.lock().clone()
-    }
-
-    /// Serializes the book into a snapshot section.
-    pub fn export(&self, enc: &mut Enc) {
-        self.lock().pack(enc);
-    }
-
-    /// Restores a handle from a snapshot section.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] from truncated or corrupt input.
-    pub fn import(dec: &mut Dec<'_>) -> Result<Sketches, SnapshotError> {
-        Ok(Sketches::from_book(SketchBook::unpack(dec)?))
     }
 }
 

@@ -631,8 +631,8 @@ macro_rules! impl_pack_newtype {
 /// A decoded component starts with no digest, so a missed invalidation
 /// shows up as a live hash that differs from the restored machine's.
 ///
-/// Components that change without a `&mut` borrow (a shared clock, a
-/// fault plan behind a mutex) must not be wrapped.
+/// Components that change without a `&mut` borrow (the shared clock)
+/// must not be wrapped.
 pub struct Hashed<T> {
     value: T,
     digest: Cell<Option<u64>>,

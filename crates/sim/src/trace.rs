@@ -13,7 +13,7 @@
 //! Two runs with the same seed therefore produce byte-identical
 //! [`Tracer::render_json`] output — a property the test suite pins down.
 //!
-//! [`Tracer`] follows the shared-handle idiom of [`crate::FaultPlan`]: clones
+//! [`Tracer`] follows the shared-handle idiom of [`crate::Clock`]: clones
 //! share one buffer, and a disabled tracer (the default) costs a branch per
 //! call site. The span buffer is bounded; once [`Tracer::span_limit`] nodes
 //! are recorded, further spans are counted but not stored, so tracing an
@@ -231,7 +231,7 @@ impl TraceBuf {
 
 /// A shared handle onto one trace buffer.
 ///
-/// Cheap to clone (clones share state, like [`crate::FaultPlan`]); the
+/// Cheap to clone (clones share state, like [`crate::Clock`]); the
 /// default handle is disabled and records nothing. All methods take `&self`.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {

@@ -437,67 +437,34 @@ impl XServer {
 
     /// Renders an overlay alert (used by the core when the kernel pushes a
     /// `V_{A,op}` request, and internally for screen-capture decisions).
-    pub fn show_alert(&mut self, process: &str, op: &str, granted: bool) -> Alert {
-        self.show_alert_detailed(process, op, granted, None)
-    }
-
-    /// [`XServer::show_alert`] carrying the kernel's deny cause (channel
-    /// down, device quarantine), rendered verbatim on the overlay so it
-    /// matches the kernel audit log.
-    pub fn show_alert_detailed(
+    /// `reason` is the kernel's deny cause (channel down, device
+    /// quarantine), rendered verbatim so the overlay matches the kernel
+    /// audit log. `replayed` marks a push buffered across a display-manager
+    /// restart: it carries the shared secret like any other alert, but is
+    /// visibly marked as delayed so the user knows the decision predates
+    /// the crash.
+    pub fn show_alert(
         &mut self,
         process: &str,
         op: &str,
         granted: bool,
         reason: Option<&str>,
+        replayed: bool,
     ) -> Alert {
         self.cost.alert_render_ns += work::ALERT_RENDER_NS;
         let now = self.clock.now();
         let alert = self
             .alerts
-            .show_detailed(process, op, granted, now, reason)
+            .show(process, op, granted, now, reason, replayed)
             .clone();
         self.record(
             now,
             AuditCategory::AlertDisplayed,
             None,
             format!(
-                "{process}: {op} {}",
-                if granted { "granted" } else { "blocked" }
-            ),
-        );
-        alert
-    }
-
-    /// Renders an overlay alert for a kernel push that was buffered across
-    /// a display-manager restart. The alert carries the shared secret like
-    /// any other, but is visibly marked as delayed so the user knows the
-    /// decision predates the crash.
-    pub fn show_alert_replayed(&mut self, process: &str, op: &str, granted: bool) -> Alert {
-        self.show_alert_replayed_detailed(process, op, granted, None)
-    }
-
-    /// [`XServer::show_alert_replayed`] carrying the kernel's deny cause.
-    pub fn show_alert_replayed_detailed(
-        &mut self,
-        process: &str,
-        op: &str,
-        granted: bool,
-        reason: Option<&str>,
-    ) -> Alert {
-        self.cost.alert_render_ns += work::ALERT_RENDER_NS;
-        let now = self.clock.now();
-        let alert = self
-            .alerts
-            .show_replayed_detailed(process, op, granted, now, reason)
-            .clone();
-        self.record(
-            now,
-            AuditCategory::AlertDisplayed,
-            None,
-            format!(
-                "{process}: {op} {} (replayed)",
-                if granted { "granted" } else { "blocked" }
+                "{process}: {op} {}{}",
+                if granted { "granted" } else { "blocked" },
+                if replayed { " (replayed)" } else { "" }
             ),
         );
         alert
@@ -667,7 +634,7 @@ impl XServer {
                     Some(pid),
                     format!("GetImage on {target}"),
                 );
-                self.show_alert(&process, "scr", true);
+                self.show_alert(&process, "scr", true, None, false);
             } else {
                 self.record(
                     now,
@@ -675,7 +642,7 @@ impl XServer {
                     Some(pid),
                     format!("GetImage on {target}"),
                 );
-                self.show_alert(&process, "scr", false);
+                self.show_alert(&process, "scr", false, None, false);
                 return Err(XError::BadAccess);
             }
         }
@@ -714,7 +681,7 @@ impl XServer {
                     Some(pid),
                     format!("CopyArea from {target}"),
                 );
-                self.show_alert(&format!("pid {}", pid.as_raw()), "scr", true);
+                self.show_alert(&format!("pid {}", pid.as_raw()), "scr", true, None, false);
             } else {
                 self.record(
                     now,
@@ -722,7 +689,7 @@ impl XServer {
                     Some(pid),
                     format!("CopyArea from {target}"),
                 );
-                self.show_alert(&format!("pid {}", pid.as_raw()), "scr", false);
+                self.show_alert(&format!("pid {}", pid.as_raw()), "scr", false, None, false);
                 return Err(XError::BadAccess);
             }
         }

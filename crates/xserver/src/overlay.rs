@@ -67,7 +67,7 @@ impl Alert {
 /// use overhaul_xserver::overlay::{Alert, AlertManager};
 ///
 /// let mut alerts = AlertManager::new("cat.png", SimDuration::from_secs(3));
-/// let alert = alerts.show("skype", "mic", true, Timestamp::from_millis(5));
+/// let alert = alerts.show("skype", "mic", true, Timestamp::from_millis(5), None, false);
 /// assert!(Alert::looks_authentic(&alert.render(), "cat.png"));
 /// assert_eq!(alerts.active(Timestamp::from_millis(100)).len(), 1);
 /// ```
@@ -97,88 +97,29 @@ impl AlertManager {
         &self.secret
     }
 
-    /// Shows an alert, returning it.
+    /// Shows an alert, returning it. `reason` is the kernel's deny cause
+    /// (channel down, device quarantine), rendered verbatim on the overlay;
+    /// `replayed` marks an alert buffered across a display-manager restart,
+    /// so the user can tell it reports a pre-crash decision.
     pub fn show(
         &mut self,
         process: impl Into<String>,
         op: impl Into<String>,
         granted: bool,
         now: Timestamp,
-    ) -> &Alert {
-        self.show_inner(process.into(), op.into(), granted, now, false, None)
-    }
-
-    /// [`AlertManager::show`] carrying the kernel's deny cause, rendered
-    /// verbatim on the overlay.
-    pub fn show_detailed(
-        &mut self,
-        process: impl Into<String>,
-        op: impl Into<String>,
-        granted: bool,
-        now: Timestamp,
         reason: Option<&str>,
-    ) -> &Alert {
-        self.show_inner(
-            process.into(),
-            op.into(),
-            granted,
-            now,
-            false,
-            reason.map(str::to_string),
-        )
-    }
-
-    /// Shows an alert that was buffered across a display-manager restart,
-    /// marked so the user can tell it reports a pre-crash decision.
-    pub fn show_replayed(
-        &mut self,
-        process: impl Into<String>,
-        op: impl Into<String>,
-        granted: bool,
-        now: Timestamp,
-    ) -> &Alert {
-        self.show_inner(process.into(), op.into(), granted, now, true, None)
-    }
-
-    /// [`AlertManager::show_replayed`] carrying the kernel's deny cause.
-    pub fn show_replayed_detailed(
-        &mut self,
-        process: impl Into<String>,
-        op: impl Into<String>,
-        granted: bool,
-        now: Timestamp,
-        reason: Option<&str>,
-    ) -> &Alert {
-        self.show_inner(
-            process.into(),
-            op.into(),
-            granted,
-            now,
-            true,
-            reason.map(str::to_string),
-        )
-    }
-
-    fn show_inner(
-        &mut self,
-        process: String,
-        op: String,
-        granted: bool,
-        now: Timestamp,
         replayed: bool,
-        reason: Option<String>,
     ) -> &Alert {
-        let alert = Alert {
-            process,
-            op,
+        self.history.push(Alert {
+            process: process.into(),
+            op: op.into(),
             granted,
             shown_at: now,
             expires: now + self.duration,
             secret: self.secret.clone(),
             replayed,
-            reason,
-        };
-        self.history.push(alert);
+            reason: reason.map(str::to_string),
+        });
         self.history.last().expect("just pushed")
     }
 
@@ -236,7 +177,14 @@ mod tests {
     #[test]
     fn show_and_expire() {
         let mut m = mgr();
-        m.show("spy", "cam", false, Timestamp::from_millis(1000));
+        m.show(
+            "spy",
+            "cam",
+            false,
+            Timestamp::from_millis(1000),
+            None,
+            false,
+        );
         assert_eq!(m.active(Timestamp::from_millis(1000)).len(), 1);
         assert_eq!(m.active(Timestamp::from_millis(3999)).len(), 1);
         assert_eq!(m.active(Timestamp::from_millis(4000)).len(), 0);
@@ -246,16 +194,22 @@ mod tests {
     #[test]
     fn render_distinguishes_grant_and_block() {
         let mut m = mgr();
-        let granted = m.show("skype", "mic", true, Timestamp::ZERO).render();
+        let granted = m
+            .show("skype", "mic", true, Timestamp::ZERO, None, false)
+            .render();
         assert!(granted.contains("is using"));
-        let blocked = m.show("spy", "cam", false, Timestamp::ZERO).render();
+        let blocked = m
+            .show("spy", "cam", false, Timestamp::ZERO, None, false)
+            .render();
         assert!(blocked.contains("was blocked from"));
     }
 
     #[test]
     fn render_embeds_shared_secret() {
         let mut m = mgr();
-        let rendered = m.show("skype", "mic", true, Timestamp::ZERO).render();
+        let rendered = m
+            .show("skype", "mic", true, Timestamp::ZERO, None, false)
+            .render();
         assert!(Alert::looks_authentic(&rendered, "cat.png"));
     }
 
@@ -274,7 +228,7 @@ mod tests {
     fn replayed_alert_is_marked_but_still_authentic() {
         let mut m = mgr();
         let rendered = m
-            .show_replayed("skype", "mic", true, Timestamp::ZERO)
+            .show("skype", "mic", true, Timestamp::ZERO, None, true)
             .render();
         assert!(rendered.ends_with("(delayed)"));
         assert!(Alert::looks_authentic(&rendered, "cat.png"));
@@ -285,19 +239,27 @@ mod tests {
     fn detailed_alert_renders_the_deny_cause_before_the_delay_marker() {
         let mut m = mgr();
         let rendered = m
-            .show_detailed("spy", "mic", false, Timestamp::ZERO, Some("channel down"))
+            .show(
+                "spy",
+                "mic",
+                false,
+                Timestamp::ZERO,
+                Some("channel down"),
+                false,
+            )
             .render();
         assert_eq!(
             rendered,
             "[cat.png] spy was blocked from the mic (channel down)"
         );
         let replayed = m
-            .show_replayed_detailed(
+            .show(
                 "spy",
                 "cam",
                 false,
                 Timestamp::ZERO,
                 Some("quarantined pending helper update"),
+                true,
             )
             .render();
         assert!(replayed.contains("(quarantined pending helper update)"));
@@ -307,8 +269,8 @@ mod tests {
     #[test]
     fn overlapping_alerts_both_active() {
         let mut m = mgr();
-        m.show("a", "mic", true, Timestamp::from_millis(0));
-        m.show("b", "cam", true, Timestamp::from_millis(1000));
+        m.show("a", "mic", true, Timestamp::from_millis(0), None, false);
+        m.show("b", "cam", true, Timestamp::from_millis(1000), None, false);
         assert_eq!(m.active(Timestamp::from_millis(1500)).len(), 2);
     }
 }

@@ -1121,7 +1121,7 @@ fn fake_alert_window_is_distinguishable_from_overlay() {
             &mut MockLink::granting(),
         )
         .unwrap();
-    let real = rig.x.show_alert("skype", "mic", true);
+    let real = rig.x.show_alert("skype", "mic", true, None, false);
     assert!(Alert::looks_authentic(
         &real.render(),
         rig.x.alerts().secret()

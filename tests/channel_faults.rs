@@ -12,7 +12,7 @@
 use overhaul_core::{BootError, OverhaulConfig, System};
 use overhaul_kernel::error::Errno;
 use overhaul_kernel::netlink::{ChannelState, NetlinkError, NetlinkMessage};
-use overhaul_sim::{AuditCategory, FaultSpec, SimDuration, Timestamp};
+use overhaul_sim::{AuditCategory, FaultPlan, FaultSpec, SimDuration, Timestamp};
 use overhaul_xserver::geometry::Rect;
 use proptest::prelude::*;
 
@@ -60,7 +60,8 @@ fn drop_storm_takes_channel_down_and_fails_closed() {
     // The fault clears: the next exchange restores the channel and a
     // fresh click grants again.
     system
-        .fault_plan()
+        .kernel_mut()
+        .fault_plan_mut()
         .expect("plan installed")
         .set_armed(false);
     system.click_window(app.window);
@@ -123,7 +124,8 @@ fn long_duplicate_storm_never_reapplies_after_eviction() {
     // A reordered notification is stashed until the next exchange; disarm
     // the plan and send one clean click to drain any stashed tail.
     system
-        .fault_plan()
+        .kernel_mut()
+        .fault_plan_mut()
         .expect("plan installed")
         .set_armed(false);
     assert!(system.click_window(app.window));
@@ -246,6 +248,43 @@ fn identical_fault_plans_produce_identical_runs() {
             ])
     };
     assert_eq!(scripted_run(spec()), scripted_run(spec()));
+}
+
+/// A plan installed after boot is state, like one compiled from the boot
+/// configuration: the machine reports it, its snapshot carries it, a
+/// restored machine decides what the live one decides, and its crash
+/// schedule fires.
+#[test]
+fn plan_installed_after_boot_is_part_of_the_state() {
+    let mut live = System::protected();
+    let app = live
+        .launch_gui_app("/usr/bin/recorder", Rect::new(0, 0, 100, 100))
+        .expect("launch");
+    live.settle();
+    let crash_at = live.now() + SimDuration::from_millis(500);
+    let spec = FaultSpec::quiet(9)
+        .with_drop_p(1.0)
+        .with_x_crashes(vec![crash_at]);
+    live.kernel_mut().install_fault_plan(FaultPlan::new(spec));
+    assert_eq!(live.fault_plan().map(|plan| plan.spec().seed), Some(9));
+
+    let mut restored = System::from_snapshot(&live.snapshot()).expect("restore");
+    assert_eq!(restored.state_hash(), live.state_hash());
+    let channels = [&mut live, &mut restored].map(|machine| {
+        // Every message is dropped: the click never reaches the kernel.
+        machine.click_window(app.window);
+        machine.advance(SimDuration::from_millis(10));
+        assert_eq!(
+            machine.open_device(app.pid, "/dev/snd/mic0"),
+            Err(Errno::Eacces)
+        );
+        let channel = machine.channel_state();
+        machine.advance(SimDuration::from_secs(1));
+        assert!(!machine.x_alive(), "the scheduled crash fired");
+        channel
+    });
+    assert_eq!(channels[0], channels[1]);
+    assert_eq!(restored.state_hash(), live.state_hash());
 }
 
 proptest! {

@@ -80,7 +80,7 @@ fn merged_sketches_byte_identical_across_same_seed_runs() {
 /// `ovq` would query.
 fn traced_archive(seed: u64, opens: usize, gap_ms: u64) -> ShardArchive {
     let mut rec = Recorder::new(OverhaulConfig::protected().with_tracing());
-    rec.system().set_sketch_seed(seed);
+    rec.set_sketch_seed(seed);
     let gui = rec
         .apply(Event::LaunchGuiApp {
             exe: "/usr/bin/recorder".into(),
@@ -107,7 +107,7 @@ fn traced_archive(seed: u64, opens: usize, gap_ms: u64) -> ShardArchive {
     ShardArchive {
         index: 0,
         seed,
-        sketches: system.sketch_book(),
+        sketches: system.sketch_book().clone(),
         ledger: system.ledger_summary(),
         log,
         snap_idx,
@@ -199,7 +199,7 @@ fn span_drops_counted_without_perturbing_sampling_or_dumps() {
                 .kernel()
                 .metrics_registry()
                 .counter("overhaul_trace_spans_dropped_total"),
-            system.sketch_book(),
+            system.sketch_book().clone(),
             system.trace_dump(),
         )
     };

@@ -117,7 +117,7 @@ fn dropped_helper_update_keeps_device_quarantined() {
     // From here on, every channel message is dropped: the helper's
     // DeviceMapUpdate for the rename never arrives.
     let plan = FaultPlan::new(FaultSpec::quiet(11).with_drop_p(1.0));
-    machine.kernel_mut().install_fault_plan(plan.clone());
+    machine.kernel_mut().install_fault_plan(plan);
     machine
         .kernel_mut()
         .udev_rename_device_via_channel(conn, "/dev/video0", "/dev/video-front")
@@ -141,7 +141,11 @@ fn dropped_helper_update_keeps_device_quarantined() {
 
     // The helper retransmits once the channel heals: protection resumes
     // at the new path and the quarantine lifts.
-    plan.set_armed(false);
+    machine
+        .kernel_mut()
+        .fault_plan_mut()
+        .expect("plan installed")
+        .set_armed(false);
     machine
         .kernel_mut()
         .netlink_send(
