@@ -246,14 +246,13 @@ fn cmd_why(path: &Path) -> ExitCode {
         "shard {} seed {:#018x}: {:?}",
         triple.index, triple.seed, triple.kind
     );
+    let sealed = |v: Option<u64>| v.map_or("<unsealed>".into(), |h| format!("{h:016x}"));
     println!(
-        "  {} recorded events, snapshot covers {}, sealed state hash {}, chain head {:016x}",
+        "  {} recorded events, snapshot covers {}, sealed state hash {}, ledger head {}",
         triple.log.events.len(),
         triple.snap_idx,
-        triple
-            .sealed_hash()
-            .map_or("<unsealed>".into(), |h| format!("{h:016x}")),
-        triple.chain_head
+        sealed(triple.sealed_hash()),
+        sealed(triple.log.final_ledger_head),
     );
     if let Some(op) = &triple.failing_op {
         println!("  failing op: {op:?}");

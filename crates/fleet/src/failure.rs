@@ -179,10 +179,6 @@ pub struct FailureTriple {
     pub failing_op: Option<ShardOp>,
     /// The shard's virtual progress deadline (needed to re-judge hangs).
     pub virtual_deadline: Timestamp,
-    /// The machine's sealed [`System::ledger_head`] at the failure point
-    /// (0 when the machine never booted), so a reproducer can confirm the
-    /// replayed history, not just the replayed state, is identical.
-    pub chain_head: u64,
 }
 
 impl FailureTriple {
@@ -197,7 +193,6 @@ impl FailureTriple {
         self.snapshot.to_bytes().pack(&mut enc);
         self.failing_op.pack(&mut enc);
         self.virtual_deadline.pack(&mut enc);
-        self.chain_head.pack(&mut enc);
         Snapshot::new(enc.into_bytes(), Vec::new()).to_bytes()
     }
 
@@ -217,7 +212,6 @@ impl FailureTriple {
         let snap_bytes: Vec<u8> = Pack::unpack(&mut dec)?;
         let failing_op = Pack::unpack(&mut dec)?;
         let virtual_deadline = Pack::unpack(&mut dec)?;
-        let chain_head = Pack::unpack(&mut dec)?;
         dec.finish()?;
         Ok(FailureTriple {
             index,
@@ -228,7 +222,6 @@ impl FailureTriple {
             snapshot: Snapshot::from_bytes(&snap_bytes)?,
             failing_op,
             virtual_deadline,
-            chain_head,
         })
     }
 
@@ -497,7 +490,7 @@ mod tests {
         let snap_idx = rec.events_recorded();
         let snapshot = rec.snapshot();
         rec.apply(Event::Advance(SimDuration::from_secs(3)));
-        let (system, log) = rec.finish();
+        let (_, log) = rec.finish();
         FailureTriple {
             index: 0,
             seed: 42,
@@ -507,7 +500,6 @@ mod tests {
             snapshot,
             failing_op,
             virtual_deadline: Timestamp::from_millis(600_000),
-            chain_head: system.ledger_head(),
         }
     }
 
@@ -527,8 +519,6 @@ mod tests {
         assert_eq!(decoded.log.events, triple.log.events);
         assert_eq!(decoded.log.final_state_hash, triple.log.final_state_hash);
         assert_eq!(decoded.log.final_ledger_head, triple.log.final_ledger_head);
-        assert_eq!(decoded.chain_head, triple.chain_head);
-        assert_ne!(triple.chain_head, 0, "a booted shard seals a real head");
         assert_eq!(
             decoded.snapshot.to_bytes(),
             triple.snapshot.to_bytes(),
@@ -611,7 +601,7 @@ mod tests {
         let snap_idx = rec.events_recorded();
         let snapshot = rec.snapshot();
         rec.apply(Event::Advance(SimDuration::from_secs(3)));
-        let (system, log) = rec.finish();
+        let (_, log) = rec.finish();
         let triple = FailureTriple {
             index: 0,
             seed: 42,
@@ -631,7 +621,6 @@ mod tests {
                 },
             )),
             virtual_deadline: Timestamp::from_millis(600_000),
-            chain_head: system.ledger_head(),
         };
         let from_boot = replay_triple(&triple);
         assert!(from_boot.is_reproduced(), "from boot: {from_boot:?}");

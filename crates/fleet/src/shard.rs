@@ -216,6 +216,7 @@ fn run_shard_inner(plan: &ShardPlan, beat: &ShardBeat) -> ShardReport {
         // Last-good checkpoint: starts at the boot state (zero events).
         last_good: system.snapshot(),
         snap_idx: 0,
+        campaign: None,
         system,
     };
     let end = run.drive();
@@ -252,13 +253,16 @@ struct Run<'a> {
     /// Index of the first event after `last_good`.
     snap_idx: usize,
     last_good: Snapshot,
+    /// The report of the plan's campaign once it completed, kept whether
+    /// or not the run completes after it.
+    campaign: Option<CampaignReport>,
 }
 
 impl Run<'_> {
     /// Runs the recorded setup and the plan's steps, its campaign
     /// interleaved, then verifies the ledgers and self-replays the sealed
-    /// log. Returns the sealed state hash and the campaign's report.
-    fn drive(&mut self) -> Result<(u64, Option<CampaignReport>), Box<Stop>> {
+    /// log. Returns the sealed state hash.
+    fn drive(&mut self) -> Result<u64, Box<Stop>> {
         let plan = self.plan;
         let mut rng = SimRng::stream(plan.seed, 1);
         // Recorded setup: one spy process (spawned, never interacted — the
@@ -281,7 +285,6 @@ impl Run<'_> {
         };
         let total = setup.len() + plan.steps;
         let steps = (0..plan.steps).map(|step| chaos_or_placeholder(plan, step));
-        let mut campaign = None;
         for (i, slot) in setup.into_iter().chain(steps).enumerate() {
             if self.beat.is_cancelled() {
                 return Err(Stop::here(FailureKind::HungWall));
@@ -296,7 +299,7 @@ impl Run<'_> {
                     track_outcome(&outcome, &mut live);
                 }
                 let script = slot.kind.build();
-                campaign = Some(campaign::run_stages(self, &script, plan.lenient_oracle)?);
+                self.campaign = Some(campaign::run_stages(self, &script, plan.lenient_oracle)?);
             }
             // Placeholder slots are generated against the live system now.
             let op = match slot {
@@ -347,7 +350,7 @@ impl Run<'_> {
                 got,
             }));
         }
-        Ok((live_hash, campaign))
+        Ok(live_hash)
     }
 
     /// Applies one op, contained: the pre-op state hash and ledger head
@@ -452,8 +455,9 @@ impl Run<'_> {
     }
 
     /// The one exit: hands the run back, whole when it completed, and as
-    /// a sealed [`FailureTriple`] when it stopped.
-    fn finish(mut self, end: Result<(u64, Option<CampaignReport>), Box<Stop>>) -> ShardReport {
+    /// a sealed [`FailureTriple`] when it stopped. A completed campaign's
+    /// report comes back either way.
+    fn finish(mut self, end: Result<u64, Box<Stop>>) -> ShardReport {
         if let Err(stop) = &end {
             self.seal(stop.seal);
         }
@@ -463,13 +467,13 @@ impl Run<'_> {
             log,
             snap_idx,
             last_good,
+            campaign,
             ..
         } = self;
         let events = log.events.len();
-        let (outcome, campaign, log, snap_idx, snapshot) = match end {
-            Ok((state_hash, campaign)) => (
+        let (outcome, log, snap_idx, snapshot) = match end {
+            Ok(state_hash) => (
                 ShardOutcome::Ok { state_hash },
-                campaign,
                 Some(log),
                 snap_idx,
                 Some(last_good),
@@ -484,9 +488,8 @@ impl Run<'_> {
                     snapshot: last_good,
                     failing_op: stop.op,
                     virtual_deadline: plan.virtual_deadline,
-                    chain_head: system.ledger_head(),
                 };
-                (ShardOutcome::Failed(Box::new(triple)), None, None, 0, None)
+                (ShardOutcome::Failed(Box::new(triple)), None, 0, None)
             }
         };
         ShardReport {
@@ -732,7 +735,6 @@ fn boot_failure(plan: &ShardPlan, message: String) -> ShardReport {
             snapshot: Snapshot::new(Vec::new(), Vec::new()),
             failing_op: None,
             virtual_deadline: plan.virtual_deadline,
-            chain_head: 0,
         })),
         events: 0,
         sim_ms: 0,
@@ -807,7 +809,6 @@ mod tests {
             ShardOutcome::Ok { .. } => panic!("panic shard completed"),
         };
         assert!(matches!(triple.kind, FailureKind::Panic { .. }));
-        assert_ne!(triple.chain_head, 0, "triple must carry the chain head");
         assert!(triple.log.final_ledger_head.is_some());
         let boot = replay_triple(&triple);
         assert!(boot.is_reproduced(), "from boot: {boot:?}");
@@ -993,6 +994,33 @@ mod tests {
     }
 
     #[test]
+    fn failed_shard_keeps_the_campaign_it_completed() {
+        quiet_injected_panics();
+        let w = FleetWorkload {
+            campaign_p: 1.0,
+            ..FleetWorkload::default()
+        };
+        let mut p = ShardPlan::derive(41, 0, &w);
+        let slot = p.campaign.expect("campaign_p = 1.0 places a campaign");
+        // The campaign's stages run before step `at_step`; panic after it.
+        p.chaos = ChaosSchedule {
+            panic_at: Some(slot.at_step + 1),
+            ..ChaosSchedule::default()
+        };
+        let report = run_shard(&p, &ShardBeat::new());
+        match &report.outcome {
+            ShardOutcome::Failed(t) => assert!(matches!(t.kind, FailureKind::Panic { .. })),
+            ShardOutcome::Ok { .. } => panic!("panic shard completed"),
+        }
+        let campaign = report
+            .campaign
+            .expect("a campaign completed before the failure keeps its report");
+        let script = slot.kind.build();
+        assert_eq!(campaign.name, script.name);
+        assert_eq!(campaign.stages.len(), script.stages.len());
+    }
+
+    #[test]
     fn campaign_shards_are_deterministic_and_self_replay() {
         let w = FleetWorkload {
             campaign_p: 1.0,
@@ -1021,7 +1049,7 @@ mod tests {
             (ShardOutcome::Failed(x), ShardOutcome::Failed(y)) => {
                 assert_eq!(x.kind, y.kind);
                 assert_eq!(x.log.final_state_hash, y.log.final_state_hash);
-                assert_eq!(x.chain_head, y.chain_head);
+                assert_eq!(x.log.final_ledger_head, y.log.final_ledger_head);
             }
             other => panic!("seed-identical shards disagreed: {other:?}"),
         }

@@ -132,7 +132,6 @@ fn reseal(original: &FailureTriple, events: Vec<Event>) -> Option<FailureTriple>
         snapshot,
         failing_op: original.failing_op.clone(),
         virtual_deadline: original.virtual_deadline,
-        chain_head: system.ledger_head(),
     })
 }
 
