@@ -3,9 +3,9 @@
 //! the multi-stage campaign defense matrix layered on top.
 //!
 //! Shared by the `attack_matrix` integration test (which asserts the
-//! expected outcomes), the `campaign_matrix` suite, and the
-//! `attack_matrix` binary (which prints both tables and emits the
-//! `BENCH_attack_matrix.json` artifact CI diffs against its baseline).
+//! expected outcomes), the `campaign_matrix` suite, and
+//! [`crate::paper::evaluate`], whose artifact pins the matrices' counts
+//! and per-class block rates.
 
 use overhaul_apps::campaign::{
     catalog, run_campaign, CampaignReport, DefenseMatrix, Expectation as CampaignExpectation,
@@ -189,31 +189,6 @@ pub fn run_matrix() -> Vec<MatrixCell> {
         }
     }
     cells
-}
-
-/// Formats the matrix as a table.
-pub fn format_matrix(cells: &[MatrixCell]) -> String {
-    let mut out = format!(
-        "{:<32} {:>10} {:>10} {:>10}\n",
-        "attack", "protected", "integrated", "baseline"
-    );
-    for attack in attack_names() {
-        let outcome = |kind: MachineKind| {
-            cells
-                .iter()
-                .find(|c| c.attack == attack && c.machine == kind)
-                .map(|c| if c.succeeded { "SUCCEEDS" } else { "blocked" })
-                .unwrap_or("?")
-        };
-        out.push_str(&format!(
-            "{:<32} {:>10} {:>10} {:>10}\n",
-            attack,
-            outcome(MachineKind::Protected),
-            outcome(MachineKind::Integrated),
-            outcome(MachineKind::Baseline),
-        ));
-    }
-    out
 }
 
 // ------------------------------------------------------------------

@@ -12,8 +12,15 @@
 //! * [`ablation`] — sweeps over the design parameters DESIGN.md calls out
 //!   (δ, the shm wait window, the clickjacking visibility threshold, and
 //!   IPC propagation on/off).
+//! * [`attacks`] — every single-shot attack crossed with three machine
+//!   configurations, and the multi-stage campaign defense matrix.
+//! * [`paper`] — all of the above except Table I, plus the §V-D 21-day
+//!   run and the prompt-mode comparison, as one seeded artifact whose
+//!   committed baseline `cargo test` pins.
 //!
-//! Binaries under `src/bin/` print the corresponding tables. The
+//! The `paper` binary prints and writes that artifact; `table1`,
+//! `decision_path` and `ipc_propagation` time the mediation paths, and
+//! `bench_diff` compares a fresh timing artifact with its baseline. The
 //! repository benchmark (`benchmark/`) times the [`table1`] operations
 //! with quartiles over seeds.
 //!
@@ -31,6 +38,7 @@ use std::time::{Duration, Instant};
 pub mod ablation;
 pub mod applicability;
 pub mod attacks;
+pub mod paper;
 pub mod table1;
 pub mod usability;
 

@@ -148,29 +148,6 @@ pub fn run_study(config: StudyConfig) -> StudyReport {
     report
 }
 
-/// Formats the report next to the paper's observed numbers.
-pub fn format_report(report: &StudyReport) -> String {
-    format!(
-        "Task 1 (Skype call, N={total}):\n\
-         \x20 calls completed        {calls}/{total}\n\
-         \x20 Likert 'identical' (1) {l1}/{total}   (paper: 46/46)\n\
-         \x20 Likert >1              {rest}/{total} (paper: 0/46)\n\
-         Task 2 (hidden camera probe, N={total}):\n\
-         \x20 probes blocked         {blocked}/{total}\n\
-         \x20 interrupted task       {i}   (paper: 24)\n\
-         \x20 noticed, continued     {n}   (paper: 16)\n\
-         \x20 missed alert           {m}   (paper: 6)",
-        total = report.likert.iter().sum::<u32>(),
-        calls = report.calls_succeeded,
-        l1 = report.likert[0],
-        rest = report.likert[1..].iter().sum::<u32>(),
-        blocked = report.probes_blocked,
-        i = report.interrupted,
-        n = report.noticed,
-        m = report.missed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,16 +187,5 @@ mod tests {
             seed: 3,
         });
         assert_eq!(report.interrupted, 5);
-    }
-
-    #[test]
-    fn report_formatting_mentions_paper_numbers() {
-        let report = run_study(StudyConfig {
-            participants: 4,
-            ..StudyConfig::default()
-        });
-        let text = format_report(&report);
-        assert!(text.contains("paper: 24"));
-        assert!(text.contains("paper: 46/46"));
     }
 }

@@ -903,9 +903,13 @@ impl Kernel {
                 {
                     // The notification is overtaken by later traffic: stash
                     // it and deliver it after the next message completes.
-                    // The sender sees a normal Ack.
+                    // The sender sees a normal Ack. A stash is not a
+                    // delivery, so it degrades a working channel but
+                    // leaves a down one down.
                     self.reorder_buffer.push((conn, seq, msg));
-                    self.channel_transition(conn, ChannelState::Degraded);
+                    if self.netlink.state() != ChannelState::Down {
+                        self.channel_transition(conn, ChannelState::Degraded);
+                    }
                     self.tracer.event(
                         "channel.fault",
                         self.clock.now(),
@@ -1171,12 +1175,18 @@ impl Kernel {
                 }
             }
         }
-        // Only a real exchange says anything about channel health: an
-        // empty fault-free drain must not "heal" a down channel.
-        if degraded {
+        // Only a delivery says the channel works: a drain that delivered
+        // nothing may degrade a working channel, but it never lifts a down
+        // one, whether it was empty or lost every push.
+        if !delivered.is_empty() {
+            let to = if degraded {
+                ChannelState::Degraded
+            } else {
+                ChannelState::Up
+            };
+            self.channel_transition(conn, to);
+        } else if degraded && self.netlink.state() != ChannelState::Down {
             self.channel_transition(conn, ChannelState::Degraded);
-        } else if !delivered.is_empty() {
-            self.channel_transition(conn, ChannelState::Up);
         }
         Ok(delivered)
     }

@@ -3,8 +3,8 @@
 //! kernel-integrated variant) and succeed on the stock baseline — the
 //! asymmetry that *is* the paper's security contribution.
 //!
-//! The matrix itself lives in `overhaul_bench::attacks` (shared with the
-//! `attack_matrix` binary, which prints it).
+//! The matrix itself lives in `overhaul_bench::attacks` (shared with
+//! `overhaul_bench::paper`, whose artifact counts it).
 
 use overhaul_bench::attacks::{attack_names, run_matrix, MachineKind};
 

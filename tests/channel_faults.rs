@@ -9,12 +9,46 @@
 //! restart the channel re-authenticates and replays buffered alerts
 //! exactly once.
 
+use overhaul_core::timeline::{self, Source};
 use overhaul_core::{BootError, OverhaulConfig, System};
 use overhaul_kernel::error::Errno;
 use overhaul_kernel::netlink::{ChannelState, NetlinkError, NetlinkMessage};
 use overhaul_sim::{AuditCategory, FaultPlan, FaultSpec, SimDuration, Timestamp};
 use overhaul_xserver::geometry::Rect;
 use proptest::prelude::*;
+
+/// The fail-closed channel oracle: walks the merged kernel and display
+/// timeline and returns the first grant made while the display channel
+/// was down, rendered as its timeline row.
+///
+/// The channel goes down at a `-> down` transition row. It comes back
+/// only on evidence that a message got through: a kernel interaction
+/// notification, a display-channel re-authentication, or an alert the
+/// display manager showed. A channel-state row is the kernel's own
+/// conclusion, so `down -> degraded` and `down -> up` end nothing.
+fn grant_while_down(system: &System) -> Option<String> {
+    let mut down = false;
+    for row in timeline::merge(system) {
+        let entry = row.entry;
+        match (row.source, entry.category) {
+            (Source::Kernel, AuditCategory::ChannelEvent) if entry.detail().contains("-> down") => {
+                down = true;
+            }
+            (Source::Kernel, AuditCategory::ChannelEvent)
+                if entry.detail() == "netlink: display channel re-authenticated" =>
+            {
+                down = false;
+            }
+            (Source::Kernel, AuditCategory::InteractionNotification)
+            | (Source::DisplayManager, AuditCategory::AlertDisplayed) => down = false,
+            (Source::Kernel, AuditCategory::PermissionGranted) if down => {
+                return Some(row.to_string());
+            }
+            _ => {}
+        }
+    }
+    None
+}
 
 /// Boots a protected machine under `spec` with one GUI app and one
 /// background spy process.
@@ -68,6 +102,76 @@ fn drop_storm_takes_channel_down_and_fails_closed() {
     assert_eq!(system.channel_state(), ChannelState::Up);
     system.advance(SimDuration::from_millis(50));
     assert!(system.open_device(app.pid, "/dev/snd/mic0").is_ok());
+}
+
+/// Boots a protected machine, delivers one click on its app, then loses
+/// every message of a second click under a drop-everything plan installed
+/// after boot, so the channel goes `up -> down` within δ of a click the
+/// kernel did record.
+fn outage_after_a_delivered_click() -> (System, overhaul_core::Gui) {
+    let mut system = System::protected();
+    let app = system
+        .launch_gui_app("/usr/bin/recorder", Rect::new(0, 0, 100, 100))
+        .expect("launch");
+    system.settle();
+    assert!(system.click_window(app.window));
+    assert_eq!(system.kernel().monitor_stats().notifications, 1);
+    system
+        .kernel_mut()
+        .install_fault_plan(FaultPlan::new(FaultSpec::quiet(31).with_drop_p(1.0)));
+    system.click_window(app.window);
+    assert_eq!(system.channel_state(), ChannelState::Down);
+    (system, app)
+}
+
+/// A denied open's alert push is lost while the channel is down. The
+/// drain delivered nothing, so it must not lift the channel, and the
+/// second open must fail closed like the first instead of being granted
+/// on the click from before the outage.
+#[test]
+fn a_drain_that_delivers_nothing_leaves_the_channel_down() {
+    let (mut system, app) = outage_after_a_delivered_click();
+    system.advance(SimDuration::from_millis(10));
+    let first = system.open_device(app.pid, "/dev/snd/mic0");
+    let second = system.open_device(app.pid, "/dev/snd/mic0");
+    assert_eq!(grant_while_down(&system), None);
+    assert_eq!((first, second), (Err(Errno::Eacces), Err(Errno::Eacces)));
+    assert_eq!(system.channel_state(), ChannelState::Down);
+    assert_eq!(
+        system.kernel_audit().matching("down -> degraded").count(),
+        0
+    );
+}
+
+/// A notification stashed by a reorder fault has not reached the kernel.
+/// A stash is not a delivery, so it leaves a down channel down, and an
+/// open before the stash is flushed fails closed instead of being granted
+/// on the click from before the outage.
+#[test]
+fn a_reorder_stash_leaves_the_channel_down() {
+    let (mut system, app) = outage_after_a_delivered_click();
+    system
+        .kernel_mut()
+        .install_fault_plan(FaultPlan::new(FaultSpec::quiet(32).with_reorder_p(1.0)));
+    system.click_window(app.window);
+    system.advance(SimDuration::from_millis(10));
+    let open = system.open_device(app.pid, "/dev/snd/mic0");
+    assert_eq!(grant_while_down(&system), None);
+    assert_eq!(open, Err(Errno::Eacces));
+    assert_eq!(system.channel_state(), ChannelState::Down);
+
+    // The next message that gets through lifts the channel and flushes
+    // the stash behind it, so a fresh click grants again.
+    system
+        .kernel_mut()
+        .fault_plan_mut()
+        .expect("plan installed")
+        .set_armed(false);
+    assert!(system.click_window(app.window));
+    assert_eq!(system.channel_state(), ChannelState::Up);
+    system.advance(SimDuration::from_millis(10));
+    assert!(system.open_device(app.pid, "/dev/snd/mic0").is_ok());
+    assert_eq!(grant_while_down(&system), None);
 }
 
 #[test]
@@ -352,27 +456,9 @@ proptest! {
             }
         }
 
-        // No grant while the channel was down (state reconstructed from
-        // the audited transitions).
-        let mut down = false;
-        for e in events {
-            match e.category {
-                AuditCategory::ChannelEvent => {
-                    if e.detail().contains("-> down") {
-                        down = true;
-                    } else if e.detail().contains("-> up") || e.detail().contains("-> degraded") {
-                        // Degraded is a functioning channel (faults observed,
-                        // exchanges still completing), so a `down -> degraded`
-                        // transition is a recovery.
-                        down = false;
-                    }
-                }
-                AuditCategory::PermissionGranted => {
-                    prop_assert!(!down, "grant while channel down: {:?}", e.detail());
-                }
-                _ => {}
-            }
-        }
+        // No grant while the channel was down, judged from deliveries
+        // rather than from the kernel's own transitions.
+        prop_assert_eq!(grant_while_down(&system), None);
 
         // Exactly-once alert delivery: queued == shown + still-buffered.
         let stats = system.kernel().monitor_stats();

@@ -1,12 +1,15 @@
-//! End-to-end smoke tests over every experiment harness: each paper claim
-//! is regenerated at reduced scale and its headline direction asserted.
+//! End-to-end tests over every experiment harness. The paper's evaluation
+//! is pinned number by number against its committed artifact, and so is
+//! EXPERIMENTS.md's quotation of it; the other harnesses run at reduced
+//! scale, with their headline directions and replay goldens asserted.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use overhaul_apps::campaign::{outcome_granted, CampaignDriver, CampaignKind};
 use overhaul_apps::workload::{run_empirical_experiment, WorkloadConfig};
 use overhaul_bench::ablation::{sweep_delta, sweep_propagation, sweep_shm_wait, sweep_visibility};
-use overhaul_bench::applicability;
+use overhaul_bench::paper;
 use overhaul_bench::table1::{self, Scale};
-use overhaul_bench::usability::{self, StudyConfig};
 use overhaul_core::{
     replay, replay_from, timeline, Event, EventLog, OverhaulConfig, Recorder, System,
 };
@@ -39,32 +42,109 @@ fn table1_smoke_all_rows_measurable() {
     }
 }
 
+/// The committed paper artifact, which EXPERIMENTS.md quotes.
+const PAPER_BASELINE: &str = include_str!("../crates/bench/baselines/BENCH_paper.json");
+
+/// Runs the whole paper evaluation and compares it, key by key, with the
+/// committed baseline. Every harness is seeded, so any difference is a
+/// change in what the code computes: a change that moves a paper number on
+/// purpose regenerates the baseline with the `paper` bin, updates
+/// EXPERIMENTS.md, and says why in CHANGES.md.
 #[test]
-fn usability_smoke_transparency_and_blocking() {
-    let report = usability::run_study(StudyConfig {
-        participants: 8,
-        ..StudyConfig::default()
-    });
-    assert_eq!(report.calls_succeeded, 8);
-    assert_eq!(report.probes_blocked, 8);
-    assert_eq!(report.likert[0], 8, "task 1: everyone rates it identical");
+fn paper_evaluation_matches_its_committed_baseline() {
+    let fresh = paper::evaluate().to_json();
+    let now: BTreeMap<&str, &str> = paper::fields(&fresh).into_iter().collect();
+    let pinned: BTreeMap<&str, &str> = paper::fields(PAPER_BASELINE).into_iter().collect();
+    let keys: BTreeSet<&str> = pinned.keys().chain(now.keys()).copied().collect();
+    let moved: Vec<String> = keys
+        .into_iter()
+        .filter(|key| pinned.get(key) != now.get(key))
+        .map(|key| {
+            let show = |value: Option<&&str>| value.map_or("absent".to_string(), |v| v.to_string());
+            format!(
+                "  {key}: baseline {}, now {}",
+                show(pinned.get(key)),
+                show(now.get(key))
+            )
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "paper numbers moved against crates/bench/baselines/BENCH_paper.json:\n{}",
+        moved.join("\n")
+    );
 }
 
+/// The first number in a table cell: `46/46` reads 46, `82.5 %` reads
+/// 82.5, and `**yes** (1)` reads 1.
+fn first_number(cell: &str) -> Option<f64> {
+    let start = cell.find(|c: char| c.is_ascii_digit())?;
+    let digits = &cell[start..];
+    let end = digits
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(digits.len());
+    digits[..end].parse().ok()
+}
+
+/// Every EXPERIMENTS.md table row that names a `BENCH_paper.json` key in
+/// backticks shows, in its value cells (all but the first and the cells
+/// naming keys), exactly the baseline's numbers for the keys it names, in
+/// order: the paper's value first where the baseline has one. Every
+/// measured key is named by some row.
 #[test]
-fn applicability_smoke_no_false_positives() {
-    // A slice of each corpus keeps the smoke test fast; the full corpora
-    // run in the bench-crate unit tests and the binary.
-    let device_pool = overhaul_apps::corpus::device_corpus();
-    let (report, _) =
-        applicability::run_corpus("device-slice", &device_pool[..12], System::protected);
-    assert_eq!(
-        report.false_positives, 0,
-        "broken: {:?}",
-        report.broken_apps
+fn experiments_md_quotes_the_paper_baseline() {
+    let pinned: BTreeMap<&str, f64> = paper::fields(PAPER_BASELINE)
+        .into_iter()
+        .filter_map(|(key, value)| Some((key, value.parse().ok()?)))
+        .collect();
+    let mut named = BTreeSet::new();
+    let mut wrong = Vec::new();
+    for row in include_str!("../EXPERIMENTS.md")
+        .lines()
+        .filter(|line| line.starts_with('|'))
+    {
+        let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+        let keys: Vec<&str> = cells
+            .iter()
+            .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+            .filter(|key| pinned.contains_key(key))
+            .collect();
+        if keys.is_empty() {
+            continue;
+        }
+        let shown: Vec<f64> = cells[1..]
+            .iter()
+            .filter(|cell| !cell.contains('`'))
+            .filter_map(|cell| first_number(cell))
+            .collect();
+        let expected: Vec<f64> = keys
+            .iter()
+            .flat_map(|key| {
+                named.insert(*key);
+                let paper = pinned.get(format!("{key}_paper").as_str()).copied();
+                paper.into_iter().chain([pinned[key]])
+            })
+            .collect();
+        if shown != expected {
+            wrong.push(format!(
+                "  {row}\n    shows {shown:?}, baseline {expected:?}"
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "EXPERIMENTS.md rows disagree with BENCH_paper.json:\n{}",
+        wrong.join("\n")
     );
-    let clip_pool = overhaul_apps::corpus::clipboard_corpus();
-    let (report, _) = applicability::run_corpus("clip-slice", &clip_pool[..10], System::protected);
-    assert_eq!(report.false_positives, 0);
+    let unnamed: Vec<&str> = pinned
+        .keys()
+        .filter(|key| !key.ends_with("_paper") && !named.contains(*key))
+        .copied()
+        .collect();
+    assert!(
+        unnamed.is_empty(),
+        "BENCH_paper.json keys no EXPERIMENTS.md row names: {unnamed:?}"
+    );
 }
 
 #[test]
