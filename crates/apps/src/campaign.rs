@@ -718,7 +718,8 @@ impl CampaignDriver {
             },
             StageAction::Advance(d) => Event::Advance(*d),
             StageAction::Ripen { extra_ms } => Event::Advance(
-                system.config().x.visibility_threshold + SimDuration::from_millis(*extra_ms),
+                system.xserver().config().visibility_threshold
+                    + SimDuration::from_millis(*extra_ms),
             ),
             StageAction::Settle => Event::Settle,
             StageAction::ClickActor { actor } => Event::ClickWindow {

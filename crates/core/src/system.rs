@@ -13,7 +13,7 @@ use overhaul_kernel::monitor::AlertRequest;
 use overhaul_kernel::netlink::{ChannelState, ConnId, NetlinkError};
 use overhaul_kernel::syscall::OpenMode;
 use overhaul_kernel::{Kernel, XORG_PATH};
-use overhaul_sim::snapshot::{hash64, Dec, Enc, Hashed, Pack, Snapshot, SnapshotError};
+use overhaul_sim::snapshot::{hash64, Dec, Enc, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, ControlPlane, FaultPlan, Fd, Ledger, LedgerError, Mechanism,
     ModelledCost, Pid, SimDuration, SketchBook, Timestamp, Tracer,
@@ -75,10 +75,16 @@ pub struct System {
     x: XServer,
     x_pid: Pid,
     x_conn: Option<ConnId>,
-    config: Hashed<OverhaulConfig>,
-    /// Shared span tracer. Disabled unless `config.tracing`; clones of this
-    /// handle live inside the kernel and the display manager, all writing
-    /// into one buffer so `trace_dump` shows the interleaved span tree.
+    /// The display manager is kernel code (§III): it calls the permission
+    /// monitor in-process and no channel exists. Every other setting is
+    /// held by its owner: the kernel's [`Kernel::config`], the display
+    /// manager's [`XServer::config`], the kernel's fault plan and device
+    /// map, and the tracer.
+    integrated_dm: bool,
+    /// Shared span tracer. Disabled unless booted with tracing; clones of
+    /// this handle live inside the kernel and the display manager, all
+    /// writing into one buffer so `trace_dump` shows the interleaved span
+    /// tree.
     tracer: Tracer,
 }
 
@@ -147,7 +153,7 @@ impl System {
             x,
             x_pid,
             x_conn,
-            config: Hashed::new(config),
+            integrated_dm: config.integrated_dm,
             tracer,
         })
     }
@@ -203,13 +209,13 @@ impl System {
         &mut self,
         f: impl FnOnce(&mut XServer, &mut dyn overhaul_xserver::protocol::MonitorLink) -> R,
     ) -> R {
-        if self.config.integrated_dm {
+        if self.integrated_dm {
             let mut link = DirectMonitorLink::new(&mut self.kernel);
             f(&mut self.x, &mut link)
         } else if let Some(conn) = self.x_conn {
             let mut link = NetlinkMonitorLink::new(&mut self.kernel, conn);
             f(&mut self.x, &mut link)
-        } else if self.config.overhaul_enabled() {
+        } else if self.overhaul_enabled() {
             // Overhaul is on but the channel is gone (display-manager
             // crash): losing the channel must never widen access.
             let mut link = overhaul_xserver::protocol::DenyAllLink;
@@ -220,9 +226,9 @@ impl System {
         }
     }
 
-    /// The machine's configuration.
-    pub fn config(&self) -> &OverhaulConfig {
-        &self.config
+    /// Whether Overhaul is active in the kernel or the display manager.
+    fn overhaul_enabled(&self) -> bool {
+        self.kernel.overhaul_enabled() || self.x.config().overhaul_enabled
     }
 
     /// The shared virtual clock.
@@ -478,7 +484,7 @@ impl System {
     /// Advances past the clickjacking visibility threshold so freshly
     /// mapped windows accept trusted input.
     pub fn settle(&mut self) {
-        let threshold = self.config.x.visibility_threshold;
+        let threshold = self.x.config().visibility_threshold;
         self.advance(threshold + SimDuration::from_millis(1));
     }
 
@@ -612,7 +618,7 @@ impl System {
     /// manager's overlay. Called automatically by the input/request/device
     /// helpers.
     pub fn pump_alerts(&mut self) {
-        let alerts = if self.config.integrated_dm {
+        let alerts = if self.integrated_dm {
             // Integrated display managers read the monitor queue directly.
             self.kernel.take_alerts_direct()
         } else if let Some(conn) = self.x_conn {
@@ -680,7 +686,7 @@ impl System {
             .sys_spawn(Pid::INIT, XORG_PATH)
             .map_err(BootError::Spawn)?;
         self.x_pid = x_pid;
-        let wants_channel = !self.config.integrated_dm && self.config.overhaul_enabled();
+        let wants_channel = !self.integrated_dm && self.overhaul_enabled();
         if !wants_channel {
             self.x_conn = None;
             return Ok(0);
@@ -704,14 +710,14 @@ impl System {
     // ---------------------------------------------------------------
 
     /// Writes the machine's primary state (a snapshot's state section):
-    /// virtual time, configuration, display-manager identity, and the full
-    /// kernel (its fault plan first) and X-server state. Derived caches are
-    /// excluded — restore rebuilds them.
+    /// virtual time, the display-manager wiring and identity, and the full
+    /// kernel (its fault plan first) and X-server state, each with its own
+    /// configuration. Derived caches are excluded — restore rebuilds them.
     /// In digest mode ([`Enc::digest`]) the same field list writes what
     /// [`System::state_hash`] hashes.
     fn export_state(&self, enc: &mut Enc) {
         self.clock.now().pack(enc);
-        self.config.pack(enc);
+        self.integrated_dm.pack(enc);
         self.x_pid.pack(enc);
         self.x_conn.pack(enc);
         self.kernel.export_snapshot(enc);
@@ -785,7 +791,7 @@ impl System {
         let tracer = Tracer::import(&mut aux)?;
         let mut dec = Dec::new(snapshot.state());
         let now = Timestamp::unpack(&mut dec)?;
-        let config = OverhaulConfig::unpack(&mut dec)?;
+        let integrated_dm = bool::unpack(&mut dec)?;
         let x_pid = Pid::unpack(&mut dec)?;
         let x_conn = Option::<ConnId>::unpack(&mut dec)?;
         let clock = Clock::starting_at(now);
@@ -800,7 +806,7 @@ impl System {
             x,
             x_pid,
             x_conn,
-            config: Hashed::new(config),
+            integrated_dm,
             tracer,
         })
     }
@@ -1012,21 +1018,39 @@ mod tests {
 
     #[test]
     fn integrated_dm_enforces_the_same_policy() {
-        for mut system in [System::protected(), System::integrated()] {
-            let app = gui(&mut system, "/usr/bin/recorder", 0);
-            assert_eq!(
-                system.open_device(app.pid, "/dev/snd/mic0"),
-                Err(Errno::Eacces),
-                "deny by default in both wirings"
-            );
-            system.click_window(app.window);
-            system.advance(SimDuration::from_millis(100));
-            assert!(system.open_device(app.pid, "/dev/snd/mic0").is_ok());
-            system.advance(SimDuration::from_secs(3));
-            assert_eq!(
-                system.open_device(app.pid, "/dev/snd/mic0"),
-                Err(Errno::Eacces)
-            );
+        // Each wiring, booted and restored from its boot snapshot: whether
+        // it denies a request no fresh click stands behind, and how many
+        // alerts its overlay shows for the script's three opens.
+        let wirings = [
+            ("protected", OverhaulConfig::protected(), true, 3),
+            ("integrated", OverhaulConfig::integrated(), true, 3),
+            ("grant-all", OverhaulConfig::grant_all(), false, 3),
+            ("baseline", OverhaulConfig::baseline(), false, 0),
+        ];
+        for (name, config, denies, alerts) in wirings {
+            let restored =
+                System::from_snapshot(&System::new(config.clone()).snapshot()).expect("restore");
+            for mut system in [System::new(config), restored] {
+                let app = gui(&mut system, "/usr/bin/recorder", 0);
+                assert_eq!(
+                    system.open_device(app.pid, "/dev/snd/mic0").is_err(),
+                    denies,
+                    "{name}: no click yet"
+                );
+                system.click_window(app.window);
+                system.advance(SimDuration::from_millis(100));
+                assert!(
+                    system.open_device(app.pid, "/dev/snd/mic0").is_ok(),
+                    "{name}: within δ of a click"
+                );
+                system.advance(SimDuration::from_secs(3));
+                assert_eq!(
+                    system.open_device(app.pid, "/dev/snd/mic0").is_err(),
+                    denies,
+                    "{name}: the click is stale"
+                );
+                assert_eq!(system.alert_history().len(), alerts, "{name}");
+            }
         }
     }
 

@@ -85,7 +85,6 @@ use crate::policy::{
     PolicySnapshot, TaskPolicyView, VerdictCache,
 };
 use crate::process::ProcessTable;
-use crate::ptrace::PtracePolicy;
 use crate::vfs::{InodeKind, Vfs};
 
 pub use crate::error::SysResult as KernelResult;
@@ -161,6 +160,8 @@ pub struct Kernel {
     clock: Clock,
     // Components behind `Hashed` cache their state-hash digest until next
     // borrowed mutably (see `overhaul_sim::snapshot::Hashed`).
+    /// The kernel's one copy of its settings: the monitor, the memory
+    /// manager, the ptrace code and netlink read theirs from here.
     config: Hashed<KernelConfig>,
     pub(crate) tasks: Hashed<ProcessTable>,
     pub(crate) vfs: Hashed<Vfs>,
@@ -174,7 +175,6 @@ pub struct Kernel {
     pub(crate) shm: Hashed<ShmTable>,
     pub(crate) mm: Hashed<MemoryManager>,
     pub(crate) ptys: Hashed<PtyTable>,
-    pub(crate) ptrace: PtracePolicy,
     /// The authoritative hash-chained history. Every audited event and
     /// every control-plane mutation is appended here as a typed entry; the
     /// audit log is a view of its non-silent entries.
@@ -271,17 +271,14 @@ impl Kernel {
             tasks: Hashed::new(ProcessTable::new()),
             devices: Hashed::new(DeviceRegistry::new()),
             device_map: Hashed::new(DeviceMap::new()),
-            monitor: Hashed::new(PermissionMonitor::new(config.monitor)),
-            netlink: Hashed::new(Netlink::new(config.trusted_netlink_paths.clone())),
+            monitor: Hashed::new(PermissionMonitor::default()),
+            netlink: Hashed::new(Netlink::default()),
             pipes: Hashed::new(PipeTable::new()),
             sockets: Hashed::new(SocketTable::new()),
             msgqueues: Hashed::new(MsgQueueTable::new()),
             shm: Hashed::new(ShmTable::new()),
-            mm: Hashed::new(MemoryManager::new(config.overhaul_enabled, config.shm_wait)),
+            mm: Hashed::new(MemoryManager::default()),
             ptys: Hashed::new(PtyTable::new()),
-            ptrace: PtracePolicy {
-                hardening_enabled: config.ptrace_hardening,
-            },
             ledger,
             fault: None,
             channel_required: false,
@@ -321,10 +318,15 @@ impl Kernel {
         self.config.overhaul_enabled
     }
 
+    /// The shared-memory re-arm window while Overhaul interposes on shared
+    /// mappings; `None` on a stock kernel.
+    pub(crate) fn shm_wait(&self) -> Option<SimDuration> {
+        self.config.overhaul_enabled.then_some(self.config.shm_wait)
+    }
+
     /// Reconfigures the permission monitor (δ sweeps, grant-all mode).
     pub fn set_monitor_config(&mut self, monitor: MonitorConfig) {
         self.config.monitor = monitor;
-        self.monitor.set_config(monitor);
         self.policy_epoch += 1;
         let at = self.clock.now();
         self.ledger.append(LedgerEntry::silent(
@@ -378,7 +380,7 @@ impl Kernel {
     pub fn control_plane(&self) -> ControlPlane {
         ControlPlane {
             overhaul_enabled: self.config.overhaul_enabled,
-            ptrace_hardening: self.ptrace.hardening_enabled,
+            ptrace_hardening: self.config.ptrace_hardening,
             channel_required: self.channel_required,
             delta_ms: self.config.monitor.delta.as_millis(),
             grant_all: self.config.monitor.grant_all,
@@ -749,7 +751,12 @@ impl Kernel {
         }
         let reconnects_before = self.netlink.display_reconnects();
         let state_before = self.netlink.state();
-        let conn = self.netlink.connect(&self.tasks, &self.vfs, pid)?;
+        let conn = self.netlink.connect(
+            &self.tasks,
+            &self.vfs,
+            pid,
+            &self.config.trusted_netlink_paths,
+        )?;
         self.ledger.append(LedgerEntry::event(
             self.clock.now(),
             AuditCategory::Info,
@@ -1514,7 +1521,7 @@ impl Kernel {
     /// [`Errno::Enoent`] for unknown nodes.
     pub fn sys_procfs_read(&self, path: &str) -> SysResult<String> {
         match path {
-            procfs::PTRACE_HARDENING => Ok(if self.ptrace.hardening_enabled {
+            procfs::PTRACE_HARDENING => Ok(if self.config.ptrace_hardening {
                 "1"
             } else {
                 "0"
@@ -1658,7 +1665,6 @@ impl Kernel {
                     "1" => true,
                     _ => return Err(Errno::Einval),
                 };
-                self.ptrace.hardening_enabled = enabled;
                 self.config.ptrace_hardening = enabled;
                 self.ledger.append(
                     LedgerEntry::event(

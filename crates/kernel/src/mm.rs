@@ -120,67 +120,39 @@ pub struct MmStats {
 /// use overhaul_sim::{Pid, SimDuration, Timestamp};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut mm = MemoryManager::new(true, SimDuration::from_millis(500));
-/// let vma = mm.map_shared(Pid::from_raw(9), ShmId::from_raw(1));
+/// let wait = Some(SimDuration::from_millis(500));
+/// let mut mm = MemoryManager::default();
+/// let vma = mm.map_shared(Pid::from_raw(9), ShmId::from_raw(1), true);
 /// // First access faults (the propagation hook)...
-/// assert_eq!(mm.begin_access(vma, Pid::from_raw(9), AccessKind::Write, Timestamp::ZERO)?,
+/// assert_eq!(mm.begin_access(vma, Pid::from_raw(9), AccessKind::Write, Timestamp::ZERO, wait)?,
 ///            AccessPath::Faulted);
 /// // ...later accesses inside the 500 ms window run uninterposed.
-/// assert_eq!(mm.begin_access(vma, Pid::from_raw(9), AccessKind::Write, Timestamp::from_millis(10))?,
+/// assert_eq!(mm.begin_access(vma, Pid::from_raw(9), AccessKind::Write, Timestamp::from_millis(10), wait)?,
 ///            AccessPath::Direct);
 /// # Ok(())
 /// # }
 /// ```
-/// The memory manager.
-#[derive(Debug, Clone)]
+/// The memory manager. Whether Overhaul interposes, and the re-arm
+/// window, are the kernel's [`crate::KernelConfig`]; the kernel passes them
+/// in with each mapping and access.
+#[derive(Debug, Clone, Default)]
 pub struct MemoryManager {
     vmas: BTreeMap<VmaId, Vma>,
     wait_list: Vec<WaitEntry>,
-    interpose: bool,
-    wait_duration: SimDuration,
     next: u64,
     stats: MmStats,
 }
 
-impl Default for MemoryManager {
-    fn default() -> Self {
-        Self::new(true, SimDuration::from_millis(500))
-    }
-}
-
 impl MemoryManager {
-    /// Creates a manager. `interpose` enables the Overhaul fault machinery;
-    /// `wait_duration` is the paper's 500 ms re-arm window.
-    pub fn new(interpose: bool, wait_duration: SimDuration) -> Self {
-        MemoryManager {
-            vmas: BTreeMap::new(),
-            wait_list: Vec::new(),
-            interpose,
-            wait_duration,
-            next: 0,
-            stats: MmStats::default(),
-        }
-    }
-
-    /// Whether interposition is active.
-    pub fn interpose(&self) -> bool {
-        self.interpose
-    }
-
-    /// The wait-list duration.
-    pub fn wait_duration(&self) -> SimDuration {
-        self.wait_duration
-    }
-
     /// Counters.
     pub fn stats(&self) -> MmStats {
         self.stats
     }
 
-    /// Maps `shm` into `pid`'s address space. Under interposition the
-    /// mapping starts with permissions revoked, so the very first access
-    /// faults and propagates.
-    pub fn map_shared(&mut self, pid: Pid, shm: ShmId) -> VmaId {
+    /// Maps `shm` into `pid`'s address space. Under interposition
+    /// (`interpose`) the mapping starts with permissions revoked, so the
+    /// very first access faults and propagates.
+    pub fn map_shared(&mut self, pid: Pid, shm: ShmId, interpose: bool) -> VmaId {
         self.next += 1;
         let id = VmaId(self.next);
         self.vmas.insert(
@@ -189,7 +161,7 @@ impl MemoryManager {
                 id,
                 pid,
                 shm,
-                perms_revoked: self.interpose,
+                perms_revoked: interpose,
             },
         );
         id
@@ -201,9 +173,11 @@ impl MemoryManager {
     }
 
     /// Begins an access to `vma` at `now`, returning which path it takes.
-    /// On [`AccessPath::Faulted`] the caller (the kernel) must run the
-    /// propagation protocol for the backing segment; this method has
-    /// already restored permissions and scheduled the re-arm.
+    /// `wait` is the re-arm window while Overhaul interposes (the paper's
+    /// 500 ms), `None` on a stock kernel. On [`AccessPath::Faulted`] the
+    /// caller (the kernel) must run the propagation protocol for the
+    /// backing segment; this method has already restored permissions and
+    /// scheduled the re-arm.
     ///
     /// # Errors
     ///
@@ -215,35 +189,38 @@ impl MemoryManager {
         pid: Pid,
         _kind: AccessKind,
         now: Timestamp,
+        wait: Option<SimDuration>,
     ) -> SysResult<AccessPath> {
         if self.vmas.get(&id).ok_or(Errno::Efault)?.pid != pid {
             return Err(Errno::Eperm);
         }
+        let Some(wait) = wait else {
+            self.stats.direct += 1;
+            return Ok(AccessPath::Direct);
+        };
         // Lazily expire this mapping's wait entry: the window is open
         // strictly for `now < expires` (mirroring the monitor's strict-δ
         // comparison), so an access at exactly the re-arm deadline — or
         // later, if no tick ran in between — must take the re-armed fault
         // path rather than sneak through uninterposed.
-        if self.interpose {
-            if let Some(pos) = self
-                .wait_list
-                .iter()
-                .position(|e| e.vma == id && e.expires <= now)
-            {
-                self.wait_list.swap_remove(pos);
-                self.vmas
-                    .get_mut(&id)
-                    .expect("looked up above")
-                    .perms_revoked = true;
-                self.stats.rearms += 1;
-            }
+        if let Some(pos) = self
+            .wait_list
+            .iter()
+            .position(|e| e.vma == id && e.expires <= now)
+        {
+            self.wait_list.swap_remove(pos);
+            self.vmas
+                .get_mut(&id)
+                .expect("looked up above")
+                .perms_revoked = true;
+            self.stats.rearms += 1;
         }
         let vma = self.vmas.get_mut(&id).ok_or(Errno::Efault)?;
-        if self.interpose && vma.perms_revoked {
+        if vma.perms_revoked {
             vma.perms_revoked = false;
             self.wait_list.push(WaitEntry {
                 vma: id,
-                expires: now + self.wait_duration,
+                expires: now + wait,
             });
             self.stats.faults += 1;
             Ok(AccessPath::Faulted)
@@ -333,8 +310,6 @@ mod pack {
     impl_pack!(MemoryManager {
         vmas,
         wait_list,
-        interpose,
-        wait_duration,
         next,
         stats
     });
@@ -345,9 +320,11 @@ mod tests {
     use super::*;
 
     const WAIT: SimDuration = SimDuration::from_millis(500);
+    /// The re-arm window of an interposing kernel.
+    const ON: Option<SimDuration> = Some(WAIT);
 
     fn mm() -> MemoryManager {
-        MemoryManager::new(true, WAIT)
+        MemoryManager::default()
     }
 
     fn pid() -> Pid {
@@ -357,10 +334,11 @@ mod tests {
     #[test]
     fn first_access_faults_then_direct_within_window() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), true);
         let t0 = Timestamp::from_millis(0);
         assert_eq!(
-            mm.begin_access(vma, pid(), AccessKind::Write, t0).unwrap(),
+            mm.begin_access(vma, pid(), AccessKind::Write, t0, ON)
+                .unwrap(),
             AccessPath::Faulted
         );
         assert_eq!(
@@ -368,7 +346,8 @@ mod tests {
                 vma,
                 pid(),
                 AccessKind::Write,
-                t0 + SimDuration::from_millis(10)
+                t0 + SimDuration::from_millis(10),
+                ON
             )
             .unwrap(),
             AccessPath::Direct,
@@ -381,14 +360,20 @@ mod tests {
     #[test]
     fn wait_expiry_rearms_fault() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
-        mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::from_millis(0))
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), true);
+        mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::from_millis(0), ON)
             .unwrap();
         assert_eq!(mm.tick(Timestamp::from_millis(499)), 0, "window still open");
         assert_eq!(mm.tick(Timestamp::from_millis(500)), 1, "window closed");
         assert_eq!(
-            mm.begin_access(vma, pid(), AccessKind::Read, Timestamp::from_millis(600))
-                .unwrap(),
+            mm.begin_access(
+                vma,
+                pid(),
+                AccessKind::Read,
+                Timestamp::from_millis(600),
+                ON
+            )
+            .unwrap(),
             AccessPath::Faulted
         );
         assert_eq!(mm.stats().rearms, 1);
@@ -399,10 +384,11 @@ mod tests {
         // Regression: revoke-then-fault at exactly `t + wait` must hold
         // even when no tick ran between the fault and the boundary access.
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), true);
         let t0 = Timestamp::from_millis(0);
         assert_eq!(
-            mm.begin_access(vma, pid(), AccessKind::Write, t0).unwrap(),
+            mm.begin_access(vma, pid(), AccessKind::Write, t0, ON)
+                .unwrap(),
             AccessPath::Faulted
         );
         // Strictly inside the window: uninterposed.
@@ -411,7 +397,8 @@ mod tests {
                 vma,
                 pid(),
                 AccessKind::Read,
-                t0 + SimDuration::from_millis(499)
+                t0 + SimDuration::from_millis(499),
+                ON
             )
             .unwrap(),
             AccessPath::Direct
@@ -419,7 +406,7 @@ mod tests {
         // Exactly at the 500 ms deadline, no tick in between: the wait
         // entry expires lazily and the access refaults.
         assert_eq!(
-            mm.begin_access(vma, pid(), AccessKind::Read, t0 + WAIT)
+            mm.begin_access(vma, pid(), AccessKind::Read, t0 + WAIT, ON)
                 .unwrap(),
             AccessPath::Faulted,
             "boundary access must take the re-armed fault path"
@@ -433,7 +420,8 @@ mod tests {
                 vma,
                 pid(),
                 AccessKind::Read,
-                t0 + WAIT + SimDuration::from_millis(1)
+                t0 + WAIT + SimDuration::from_millis(1),
+                ON
             )
             .unwrap(),
             AccessPath::Direct
@@ -442,12 +430,18 @@ mod tests {
 
     #[test]
     fn interposition_disabled_never_faults() {
-        let mut mm = MemoryManager::new(false, WAIT);
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
+        let mut mm = mm();
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), false);
         for i in 0..10 {
             assert_eq!(
-                mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::from_millis(i))
-                    .unwrap(),
+                mm.begin_access(
+                    vma,
+                    pid(),
+                    AccessKind::Write,
+                    Timestamp::from_millis(i),
+                    None
+                )
+                .unwrap(),
                 AccessPath::Direct
             );
         }
@@ -457,9 +451,15 @@ mod tests {
     #[test]
     fn foreign_process_access_is_eperm() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), true);
         assert_eq!(
-            mm.begin_access(vma, Pid::from_raw(99), AccessKind::Read, Timestamp::ZERO),
+            mm.begin_access(
+                vma,
+                Pid::from_raw(99),
+                AccessKind::Read,
+                Timestamp::ZERO,
+                ON
+            ),
             Err(Errno::Eperm)
         );
     }
@@ -467,14 +467,14 @@ mod tests {
     #[test]
     fn unmap_removes_mapping_and_wait_entries() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
-        mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::ZERO)
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), true);
+        mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::ZERO, ON)
             .unwrap();
         assert_eq!(mm.wait_list_len(), 1);
         mm.unmap(vma).unwrap();
         assert_eq!(mm.wait_list_len(), 0);
         assert_eq!(
-            mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::ZERO),
+            mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::ZERO, ON),
             Err(Errno::Efault)
         );
     }
@@ -482,9 +482,9 @@ mod tests {
     #[test]
     fn unmap_all_for_process_exit() {
         let mut mm = mm();
-        mm.map_shared(pid(), ShmId::from_raw(1));
-        mm.map_shared(pid(), ShmId::from_raw(2));
-        mm.map_shared(Pid::from_raw(99), ShmId::from_raw(3));
+        mm.map_shared(pid(), ShmId::from_raw(1), true);
+        mm.map_shared(pid(), ShmId::from_raw(2), true);
+        mm.map_shared(Pid::from_raw(99), ShmId::from_raw(3), true);
         let removed = mm.unmap_all_for(pid());
         assert_eq!(removed.len(), 2);
         assert_eq!(mm.len(), 1);
@@ -493,15 +493,15 @@ mod tests {
     #[test]
     fn two_mappings_fault_independently() {
         let mut mm = mm();
-        let a = mm.map_shared(pid(), ShmId::from_raw(1));
-        let b = mm.map_shared(pid(), ShmId::from_raw(1));
+        let a = mm.map_shared(pid(), ShmId::from_raw(1), true);
+        let b = mm.map_shared(pid(), ShmId::from_raw(1), true);
         assert_eq!(
-            mm.begin_access(a, pid(), AccessKind::Write, Timestamp::ZERO)
+            mm.begin_access(a, pid(), AccessKind::Write, Timestamp::ZERO, ON)
                 .unwrap(),
             AccessPath::Faulted
         );
         assert_eq!(
-            mm.begin_access(b, pid(), AccessKind::Write, Timestamp::ZERO)
+            mm.begin_access(b, pid(), AccessKind::Write, Timestamp::ZERO, ON)
                 .unwrap(),
             AccessPath::Faulted
         );
@@ -509,13 +509,14 @@ mod tests {
 
     #[test]
     fn ablation_wait_zero_faults_every_tick() {
-        let mut mm = MemoryManager::new(true, SimDuration::ZERO);
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
+        let mut mm = mm();
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1), true);
         for i in 0..5 {
             let now = Timestamp::from_millis(i * 10);
             mm.tick(now);
             assert_eq!(
-                mm.begin_access(vma, pid(), AccessKind::Write, now).unwrap(),
+                mm.begin_access(vma, pid(), AccessKind::Write, now, Some(SimDuration::ZERO))
+                    .unwrap(),
                 AccessPath::Faulted
             );
         }

@@ -187,17 +187,18 @@ pub struct MonitorStats {
 
 /// The kernel permission monitor: it records interaction notifications
 /// in the task structure, keeps the decision and channel counters, and
-/// queues visual alerts.
+/// queues visual alerts. Its tunables are the kernel's
+/// [`crate::KernelConfig::monitor`], which the decide path reads.
 ///
 /// ```
-/// use overhaul_kernel::monitor::{MonitorConfig, PermissionMonitor};
+/// use overhaul_kernel::monitor::PermissionMonitor;
 /// use overhaul_kernel::process::ProcessTable;
 /// use overhaul_sim::{Pid, Timestamp};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut tasks = ProcessTable::new();
 /// let app = tasks.fork(Pid::INIT)?;
-/// let mut monitor = PermissionMonitor::new(MonitorConfig::default());
+/// let mut monitor = PermissionMonitor::default();
 ///
 /// let at = Timestamp::from_millis(1_000);
 /// assert!(monitor.record_interaction(&mut tasks, app, at)?);
@@ -208,31 +209,11 @@ pub struct MonitorStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PermissionMonitor {
-    config: MonitorConfig,
     stats: MonitorStats,
     pending_alerts: Vec<AlertRequest>,
 }
 
 impl PermissionMonitor {
-    /// Creates a monitor with the given tunables.
-    pub fn new(config: MonitorConfig) -> Self {
-        PermissionMonitor {
-            config,
-            stats: MonitorStats::default(),
-            pending_alerts: Vec::new(),
-        }
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> MonitorConfig {
-        self.config
-    }
-
-    /// Replaces the configuration (δ sweeps in the ablation benches).
-    pub fn set_config(&mut self, config: MonitorConfig) {
-        self.config = config;
-    }
-
     /// Counters.
     pub fn stats(&self) -> MonitorStats {
         self.stats
@@ -408,7 +389,6 @@ mod pack {
         alerts_queued
     });
     impl_pack!(PermissionMonitor {
-        config,
         stats,
         pending_alerts
     });
@@ -421,7 +401,7 @@ mod tests {
     fn setup() -> (PermissionMonitor, ProcessTable, Pid) {
         let mut tasks = ProcessTable::new();
         let pid = tasks.fork(Pid::INIT).unwrap();
-        (PermissionMonitor::new(MonitorConfig::default()), tasks, pid)
+        (PermissionMonitor::default(), tasks, pid)
     }
 
     #[test]

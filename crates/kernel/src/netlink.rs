@@ -146,7 +146,6 @@ struct Connection {
 pub struct Netlink {
     connections: BTreeMap<ConnId, Connection>,
     next: u32,
-    trusted_exe_paths: Vec<String>,
     display_conn: Option<ConnId>,
     display_state: ChannelState,
     /// Bumped on every display-channel state change; folded into the
@@ -157,14 +156,12 @@ pub struct Netlink {
     display_reconnects: u64,
 }
 
-impl Netlink {
-    /// Creates a registry trusting the given executable paths (the X server
-    /// binary, the udev helper).
-    pub fn new(trusted_exe_paths: Vec<String>) -> Self {
+impl Default for Netlink {
+    /// An empty registry with the display channel down.
+    fn default() -> Self {
         Netlink {
             connections: BTreeMap::new(),
             next: 0,
-            trusted_exe_paths,
             display_conn: None,
             display_state: ChannelState::Down,
             state_generation: 0,
@@ -172,12 +169,15 @@ impl Netlink {
             display_reconnects: 0,
         }
     }
+}
 
+impl Netlink {
     /// Attempts to establish an authenticated connection for `pid`.
     ///
     /// Reproduces the paper's introspection: the peer's mapped executable
-    /// must be one of the well-known trusted paths, and that binary must be
-    /// owned by the superuser in the filesystem (so a user cannot drop a
+    /// must be one of the well-known `trusted` paths (the kernel's
+    /// [`crate::KernelConfig::trusted_netlink_paths`]), and that binary must
+    /// be owned by the superuser in the filesystem (so a user cannot drop a
     /// fake `Xorg` somewhere and connect).
     ///
     /// A connecting X server supersedes any previous display connection:
@@ -193,13 +193,14 @@ impl Netlink {
         tasks: &ProcessTable,
         vfs: &Vfs,
         pid: Pid,
+        trusted: &[String],
     ) -> Result<ConnId, NetlinkError> {
         let task = tasks.get(pid).map_err(|_| NetlinkError::NoSuchProcess)?;
         if !task.is_running() {
             return Err(NetlinkError::NoSuchProcess);
         }
         let exe = task.exe_path();
-        if !self.trusted_exe_paths.iter().any(|p| p == exe) {
+        if !trusted.iter().any(|p| p == exe) {
             return Err(NetlinkError::UntrustedPeer);
         }
         let owner = vfs
@@ -476,7 +477,6 @@ mod pack {
     impl_pack!(Netlink {
         connections,
         next,
-        trusted_exe_paths,
         display_conn,
         display_state,
         state_generation,
@@ -493,7 +493,7 @@ mod tests {
     const XORG: &str = "/usr/lib/xorg/Xorg";
 
     fn setup() -> (Netlink, ProcessTable, Vfs) {
-        let netlink = Netlink::new(vec![XORG.to_string()]);
+        let netlink = Netlink::default();
         let tasks = ProcessTable::new();
         let mut vfs = Vfs::new();
         vfs.create_file(XORG, Uid::ROOT, 0o755).unwrap();
@@ -504,7 +504,7 @@ mod tests {
     fn trusted_root_owned_binary_connects() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         assert_eq!(netlink.peer(conn).unwrap(), x);
         assert_eq!(netlink.connection_count(), 1);
         assert!(netlink.is_display(conn));
@@ -516,7 +516,7 @@ mod tests {
         let (mut netlink, mut tasks, vfs) = setup();
         let mallory = tasks.spawn(Pid::INIT, "/home/mallory/fake-xorg").unwrap();
         assert_eq!(
-            netlink.connect(&tasks, &vfs, mallory),
+            netlink.connect(&tasks, &vfs, mallory, &[XORG.into()]),
             Err(NetlinkError::UntrustedPeer)
         );
     }
@@ -525,14 +525,14 @@ mod tests {
     fn trusted_path_but_user_owned_binary_rejected() {
         // A user replacing the binary file (were it user-writable) must not
         // be able to authenticate: the on-disk binary must be root-owned.
-        let mut netlink = Netlink::new(vec!["/tmp/Xorg".to_string()]);
+        let mut netlink = Netlink::default();
         let mut tasks = ProcessTable::new();
         let mut vfs = Vfs::new();
         vfs.create_file("/tmp/Xorg", Uid::from_raw(1000), 0o755)
             .unwrap();
         let p = tasks.spawn(Pid::INIT, "/tmp/Xorg").unwrap();
         assert_eq!(
-            netlink.connect(&tasks, &vfs, p),
+            netlink.connect(&tasks, &vfs, p, &["/tmp/Xorg".into()]),
             Err(NetlinkError::UntrustedPeer)
         );
     }
@@ -543,7 +543,7 @@ mod tests {
         let vfs = Vfs::new(); // no Xorg file on disk
         let p = tasks.spawn(Pid::INIT, XORG).unwrap();
         assert_eq!(
-            netlink.connect(&tasks, &vfs, p),
+            netlink.connect(&tasks, &vfs, p, &[XORG.into()]),
             Err(NetlinkError::UntrustedPeer)
         );
     }
@@ -554,7 +554,7 @@ mod tests {
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
         tasks.exit(x, 0).unwrap();
         assert_eq!(
-            netlink.connect(&tasks, &vfs, x),
+            netlink.connect(&tasks, &vfs, x, &[XORG.into()]),
             Err(NetlinkError::NoSuchProcess)
         );
     }
@@ -572,7 +572,7 @@ mod tests {
     fn reap_dead_peers_drops_connections() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         tasks.exit(x, 0).unwrap();
         netlink.reap_dead_peers(&tasks);
         assert_eq!(netlink.peer(conn), Err(NetlinkError::UnknownConnection));
@@ -583,7 +583,7 @@ mod tests {
     fn disconnect_is_idempotent() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         netlink.disconnect(conn);
         netlink.disconnect(conn);
         assert_eq!(netlink.connection_count(), 0);
@@ -594,7 +594,7 @@ mod tests {
     fn invalidate_peer_is_eager_and_downs_the_channel() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         let (dropped, display_lost) = netlink.invalidate_peer(x);
         assert_eq!(dropped, 1);
         assert!(display_lost);
@@ -608,7 +608,7 @@ mod tests {
     fn sequence_numbers_deduplicate_deliveries() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         let s1 = netlink.assign_seq(conn).unwrap();
         let s2 = netlink.assign_seq(conn).unwrap();
         assert_ne!(s1, s2);
@@ -621,7 +621,7 @@ mod tests {
     fn delivery_record_is_bounded() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         for _ in 0..(DELIVERY_RECORD as u64 + 32) {
             let seq = netlink.assign_seq(conn).unwrap();
             assert!(netlink.mark_delivered(conn, seq).unwrap());
@@ -636,7 +636,7 @@ mod tests {
         // every evicted seq implicitly remembered.
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         let first = netlink.assign_seq(conn).unwrap();
         assert!(netlink.mark_delivered(conn, first).unwrap());
         // Push far past the record bound.
@@ -654,7 +654,7 @@ mod tests {
     fn out_of_order_delivery_record_stays_bounded_and_exact() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         // Deliver only even seqs first (holes keep the watermark low), far
         // past the bound, then replay: every delivered seq must still read
         // as a duplicate, and the holes below the (raised) floor are
@@ -679,13 +679,13 @@ mod tests {
     fn display_reconnect_invalidates_the_old_conn() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x1 = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let old = netlink.connect(&tasks, &vfs, x1).unwrap();
+        let old = netlink.connect(&tasks, &vfs, x1, &[XORG.into()]).unwrap();
         tasks.exit(x1, 139).unwrap();
         netlink.invalidate_peer(x1);
         assert_eq!(netlink.state(), ChannelState::Down);
 
         let x2 = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let new = netlink.connect(&tasks, &vfs, x2).unwrap();
+        let new = netlink.connect(&tasks, &vfs, x2, &[XORG.into()]).unwrap();
         assert_ne!(old, new);
         assert_eq!(netlink.peer(old), Err(NetlinkError::UnknownConnection));
         assert!(netlink.is_display(new));
@@ -697,7 +697,7 @@ mod tests {
     fn transition_only_applies_to_the_display_conn() {
         let (mut netlink, mut tasks, vfs) = setup();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         assert_eq!(
             netlink.transition_display(conn, ChannelState::Degraded),
             Some((ChannelState::Up, ChannelState::Degraded))
@@ -720,7 +720,7 @@ mod tests {
         let (mut netlink, mut tasks, vfs) = setup();
         let g0 = netlink.state_generation();
         let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x).unwrap();
+        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
         assert_eq!(netlink.state_generation(), g0 + 1, "Down -> Up");
         netlink.transition_display(conn, ChannelState::Degraded);
         assert_eq!(netlink.state_generation(), g0 + 2);

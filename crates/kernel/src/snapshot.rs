@@ -114,7 +114,6 @@ impl Kernel {
         self.shm.pack(enc);
         self.mm.pack(enc);
         self.ptys.pack(enc);
-        self.ptrace.pack(enc);
         self.ledger.pack(enc);
         self.push_buffer.pack(enc);
         self.reorder_buffer.pack(enc);
@@ -155,7 +154,6 @@ impl Kernel {
             shm: Pack::unpack(dec)?,
             mm: Pack::unpack(dec)?,
             ptys: Pack::unpack(dec)?,
-            ptrace: Pack::unpack(dec)?,
             ledger: Pack::unpack(dec)?,
             push_buffer: Pack::unpack(dec)?,
             reorder_buffer: Pack::unpack(dec)?,

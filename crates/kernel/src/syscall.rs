@@ -32,6 +32,7 @@ use crate::mm::{AccessKind, AccessPath, VmaId};
 use crate::monitor::ResourceOp;
 use crate::netlink::ChannelState;
 use crate::policy::IpcMechanism;
+use crate::ptrace;
 use crate::task::FileDescription;
 use crate::vfs::{InodeKind, Stat};
 use crate::Kernel;
@@ -251,11 +252,11 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// See [`crate::ptrace::PtracePolicy::attach`].
+    /// See [`crate::ptrace::attach`].
     pub fn sys_ptrace_attach(&mut self, tracer: Pid, tracee: Pid) -> SysResult<()> {
-        let policy = self.ptrace;
-        policy.attach(&mut self.tasks, tracer, tracee)?;
-        if policy.hardening_enabled {
+        let hardening = self.config().ptrace_hardening;
+        ptrace::attach(&mut self.tasks, tracer, tracee, hardening)?;
+        if hardening {
             self.ledger.append(LedgerEntry::event(
                 self.clock.now(),
                 AuditCategory::PtraceHardening,
@@ -270,10 +271,9 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// See [`crate::ptrace::PtracePolicy::detach`].
+    /// See [`crate::ptrace::detach`].
     pub fn sys_ptrace_detach(&mut self, tracer: Pid, tracee: Pid) -> SysResult<()> {
-        let policy = self.ptrace;
-        policy.detach(&mut self.tasks, tracer, tracee)
+        ptrace::detach(&mut self.tasks, tracer, tracee)
     }
 
     // ===============================================================
@@ -670,7 +670,8 @@ impl Kernel {
     pub fn sys_shmat(&mut self, pid: Pid, shm: ShmId) -> SysResult<VmaId> {
         self.caller(pid)?;
         self.shm.attach(shm)?;
-        Ok(self.mm.map_shared(pid, shm))
+        let interpose = self.overhaul_enabled();
+        Ok(self.mm.map_shared(pid, shm, interpose))
     }
 
     /// `shmdt(2)` / `munmap`.
@@ -708,7 +709,10 @@ impl Kernel {
         let mapping = self.mm.vma(vma)?;
         let now = self.clock.now();
         let fault_t0 = std::time::Instant::now();
-        let path = self.mm.begin_access(vma, pid, AccessKind::Write, now)?;
+        let wait = self.shm_wait();
+        let path = self
+            .mm
+            .begin_access(vma, pid, AccessKind::Write, now, wait)?;
         if path == AccessPath::Faulted {
             let span = self.tracer.event(
                 "mm.fault",
@@ -747,7 +751,10 @@ impl Kernel {
         let mapping = self.mm.vma(vma)?;
         let now = self.clock.now();
         let fault_t0 = std::time::Instant::now();
-        let path = self.mm.begin_access(vma, pid, AccessKind::Read, now)?;
+        let wait = self.shm_wait();
+        let path = self
+            .mm
+            .begin_access(vma, pid, AccessKind::Read, now, wait)?;
         if path == AccessPath::Faulted {
             let span = self.tracer.event(
                 "mm.fault",

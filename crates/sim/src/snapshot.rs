@@ -56,7 +56,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OVSN";
 
 /// Current snapshot format version. Bumped on any encoding change;
 /// [`Snapshot::from_bytes`] rejects versions it does not understand.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why decoding a snapshot failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1087,12 +1087,16 @@ mod tests {
             Err(SnapshotError::BadMagic)
         );
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        assert_eq!(
-            Snapshot::from_bytes(&bad_version),
-            Err(SnapshotError::UnsupportedVersion(99))
-        );
+        // 4 is the retired format whose state section held the machine's
+        // boot configuration beside its owners' copies.
+        for version in [4, 99] {
+            let mut bad_version = good.clone();
+            bad_version[4] = version;
+            assert_eq!(
+                Snapshot::from_bytes(&bad_version),
+                Err(SnapshotError::UnsupportedVersion(u32::from(version)))
+            );
+        }
 
         let mut trailing = good.clone();
         trailing.push(0);

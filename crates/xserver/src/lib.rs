@@ -122,6 +122,8 @@ pub struct XServer {
     clock: Clock,
     // Components behind `Hashed` cache their state-hash digest until next
     // borrowed mutably (see `overhaul_sim::snapshot::Hashed`).
+    /// The display manager's one copy of its settings: the overlay and the
+    /// prompt surface take the shared secret and alert duration from here.
     config: Hashed<XConfig>,
     clients: Hashed<ClientRegistry>,
     windows: Hashed<WindowTree>,
@@ -144,16 +146,14 @@ pub struct XServer {
 impl XServer {
     /// Starts a server on the shared virtual clock.
     pub fn new(clock: Clock, config: XConfig) -> Self {
-        let alerts = AlertManager::new(config.shared_secret.clone(), config.alert_duration);
-        let prompts = PromptSurface::new(config.shared_secret.clone());
         XServer {
             clock,
             config: Hashed::new(config),
             clients: Hashed::new(ClientRegistry::new()),
             windows: Hashed::new(WindowTree::new()),
             selections: Hashed::new(SelectionTable::new()),
-            alerts: Hashed::new(alerts),
-            prompts: Hashed::new(prompts),
+            alerts: Hashed::new(AlertManager::default()),
+            prompts: Hashed::new(PromptSurface::default()),
             focus: None,
             ledger: Ledger::new(),
             tracer: Tracer::disabled(),
@@ -230,7 +230,9 @@ impl XServer {
     /// path. Returns `None` while another prompt is pending.
     pub fn ask_prompt(&mut self, process: &str, op: &str) -> Option<PromptId> {
         let now = self.clock.now();
-        let id = self.prompts.ask(process, op, now)?;
+        let id = self
+            .prompts
+            .ask(process, op, now, &self.config.shared_secret)?;
         self.cost.alert_render_ns += work::ALERT_RENDER_NS;
         self.record(
             now,
@@ -455,7 +457,16 @@ impl XServer {
         let now = self.clock.now();
         let alert = self
             .alerts
-            .show(process, op, granted, now, reason, replayed)
+            .show(Alert {
+                process: process.to_string(),
+                op: op.to_string(),
+                granted,
+                shown_at: now,
+                expires: now + self.config.alert_duration,
+                secret: self.config.shared_secret.clone(),
+                replayed,
+                reason: reason.map(str::to_string),
+            })
             .clone();
         self.record(
             now,

@@ -7,7 +7,7 @@
 //! system to prevent malicious applications from forging fake alerts"
 //! (the cat image in the paper's Figure 5).
 
-use overhaul_sim::{SimDuration, Timestamp};
+use overhaul_sim::Timestamp;
 
 /// One alert shown on the trusted overlay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,64 +62,38 @@ impl Alert {
     }
 }
 
+/// The overlay alert surface: every alert shown, oldest first. The server
+/// stamps each alert with its configured shared secret and display
+/// duration ([`crate::XConfig`]) before showing it.
+///
 /// ```
-/// use overhaul_sim::{SimDuration, Timestamp};
+/// use overhaul_sim::Timestamp;
 /// use overhaul_xserver::overlay::{Alert, AlertManager};
 ///
-/// let mut alerts = AlertManager::new("cat.png", SimDuration::from_secs(3));
-/// let alert = alerts.show("skype", "mic", true, Timestamp::from_millis(5), None, false);
+/// let mut alerts = AlertManager::default();
+/// let at = Timestamp::from_millis(5);
+/// let alert = alerts.show(Alert {
+///     process: "skype".into(),
+///     op: "mic".into(),
+///     granted: true,
+///     shown_at: at,
+///     expires: Timestamp::from_millis(3_005),
+///     secret: "cat.png".into(),
+///     replayed: false,
+///     reason: None,
+/// });
 /// assert!(Alert::looks_authentic(&alert.render(), "cat.png"));
 /// assert_eq!(alerts.active(Timestamp::from_millis(100)).len(), 1);
 /// ```
-/// The overlay alert surface.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AlertManager {
-    secret: String,
-    duration: SimDuration,
     history: Vec<Alert>,
 }
 
 impl AlertManager {
-    /// Creates a manager with the user's visual shared secret and the
-    /// display duration ("a few seconds at the top of the screen").
-    pub fn new(secret: impl Into<String>, duration: SimDuration) -> Self {
-        AlertManager {
-            secret: secret.into(),
-            duration,
-            history: Vec::new(),
-        }
-    }
-
-    /// The configured shared secret. Server-private: it is never exposed to
-    /// clients through any X request, which is what makes alert forgery
-    /// detectable. Harness code uses it to check authenticity.
-    pub fn secret(&self) -> &str {
-        &self.secret
-    }
-
-    /// Shows an alert, returning it. `reason` is the kernel's deny cause
-    /// (channel down, device quarantine), rendered verbatim on the overlay;
-    /// `replayed` marks an alert buffered across a display-manager restart,
-    /// so the user can tell it reports a pre-crash decision.
-    pub fn show(
-        &mut self,
-        process: impl Into<String>,
-        op: impl Into<String>,
-        granted: bool,
-        now: Timestamp,
-        reason: Option<&str>,
-        replayed: bool,
-    ) -> &Alert {
-        self.history.push(Alert {
-            process: process.into(),
-            op: op.into(),
-            granted,
-            shown_at: now,
-            expires: now + self.duration,
-            secret: self.secret.clone(),
-            replayed,
-            reason: reason.map(str::to_string),
-        });
+    /// Shows `alert`, returning it.
+    pub fn show(&mut self, alert: Alert) -> &Alert {
+        self.history.push(alert);
         self.history.last().expect("just pushed")
     }
 
@@ -159,32 +133,50 @@ mod pack {
         replayed,
         reason
     });
-    impl_pack!(AlertManager {
-        secret,
-        duration,
-        history
-    });
+    impl_pack!(AlertManager { history });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overhaul_sim::SimDuration;
 
     fn mgr() -> AlertManager {
-        AlertManager::new("cat.png", SimDuration::from_secs(3))
+        AlertManager::default()
+    }
+
+    /// An alert as a server with the default configuration shows it.
+    fn alert(
+        process: &str,
+        op: &str,
+        granted: bool,
+        at: Timestamp,
+        reason: Option<&str>,
+        replayed: bool,
+    ) -> Alert {
+        Alert {
+            process: process.into(),
+            op: op.into(),
+            granted,
+            shown_at: at,
+            expires: at + SimDuration::from_secs(3),
+            secret: "cat.png".into(),
+            replayed,
+            reason: reason.map(str::to_string),
+        }
     }
 
     #[test]
     fn show_and_expire() {
         let mut m = mgr();
-        m.show(
+        m.show(alert(
             "spy",
             "cam",
             false,
             Timestamp::from_millis(1000),
             None,
             false,
-        );
+        ));
         assert_eq!(m.active(Timestamp::from_millis(1000)).len(), 1);
         assert_eq!(m.active(Timestamp::from_millis(3999)).len(), 1);
         assert_eq!(m.active(Timestamp::from_millis(4000)).len(), 0);
@@ -195,11 +187,11 @@ mod tests {
     fn render_distinguishes_grant_and_block() {
         let mut m = mgr();
         let granted = m
-            .show("skype", "mic", true, Timestamp::ZERO, None, false)
+            .show(alert("skype", "mic", true, Timestamp::ZERO, None, false))
             .render();
         assert!(granted.contains("is using"));
         let blocked = m
-            .show("spy", "cam", false, Timestamp::ZERO, None, false)
+            .show(alert("spy", "cam", false, Timestamp::ZERO, None, false))
             .render();
         assert!(blocked.contains("was blocked from"));
     }
@@ -208,7 +200,7 @@ mod tests {
     fn render_embeds_shared_secret() {
         let mut m = mgr();
         let rendered = m
-            .show("skype", "mic", true, Timestamp::ZERO, None, false)
+            .show(alert("skype", "mic", true, Timestamp::ZERO, None, false))
             .render();
         assert!(Alert::looks_authentic(&rendered, "cat.png"));
     }
@@ -228,7 +220,7 @@ mod tests {
     fn replayed_alert_is_marked_but_still_authentic() {
         let mut m = mgr();
         let rendered = m
-            .show("skype", "mic", true, Timestamp::ZERO, None, true)
+            .show(alert("skype", "mic", true, Timestamp::ZERO, None, true))
             .render();
         assert!(rendered.ends_with("(delayed)"));
         assert!(Alert::looks_authentic(&rendered, "cat.png"));
@@ -239,28 +231,28 @@ mod tests {
     fn detailed_alert_renders_the_deny_cause_before_the_delay_marker() {
         let mut m = mgr();
         let rendered = m
-            .show(
+            .show(alert(
                 "spy",
                 "mic",
                 false,
                 Timestamp::ZERO,
                 Some("channel down"),
                 false,
-            )
+            ))
             .render();
         assert_eq!(
             rendered,
             "[cat.png] spy was blocked from the mic (channel down)"
         );
         let replayed = m
-            .show(
+            .show(alert(
                 "spy",
                 "cam",
                 false,
                 Timestamp::ZERO,
                 Some("quarantined pending helper update"),
                 true,
-            )
+            ))
             .render();
         assert!(replayed.contains("(quarantined pending helper update)"));
         assert!(replayed.ends_with("(delayed)"));
@@ -269,8 +261,22 @@ mod tests {
     #[test]
     fn overlapping_alerts_both_active() {
         let mut m = mgr();
-        m.show("a", "mic", true, Timestamp::from_millis(0), None, false);
-        m.show("b", "cam", true, Timestamp::from_millis(1000), None, false);
+        m.show(alert(
+            "a",
+            "mic",
+            true,
+            Timestamp::from_millis(0),
+            None,
+            false,
+        ));
+        m.show(alert(
+            "b",
+            "cam",
+            true,
+            Timestamp::from_millis(1000),
+            None,
+            false,
+        ));
         assert_eq!(m.active(Timestamp::from_millis(1500)).len(), 2);
     }
 }

@@ -79,37 +79,28 @@ impl Prompt {
 /// use overhaul_sim::Timestamp;
 /// use overhaul_xserver::prompt::{PromptState, PromptSurface};
 ///
-/// let mut prompts = PromptSurface::new("cat.png");
-/// prompts.ask("skype", "cam", Timestamp::from_millis(1)).unwrap();
+/// let mut prompts = PromptSurface::default();
+/// prompts.ask("skype", "cam", Timestamp::from_millis(1), "cat.png").unwrap();
 /// let resolved = prompts.answer(true).unwrap();
 /// assert_eq!(resolved.state, PromptState::Approved);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PromptSurface {
-    secret: String,
     next: u64,
     pending: Option<Prompt>,
     history: Vec<Prompt>,
 }
 
 impl PromptSurface {
-    /// Creates a surface with the user's shared secret.
-    pub fn new(secret: impl Into<String>) -> Self {
-        PromptSurface {
-            secret: secret.into(),
-            next: 0,
-            pending: None,
-            history: Vec::new(),
-        }
-    }
-
-    /// Displays a prompt. Returns `None` if another prompt is already
-    /// pending (the caller should treat that as a deny and retry later).
+    /// Displays a prompt rendered with the user's shared `secret`. Returns
+    /// `None` if another prompt is already pending (the caller should treat
+    /// that as a deny and retry later).
     pub fn ask(
         &mut self,
         process: impl Into<String>,
         op: impl Into<String>,
         now: Timestamp,
+        secret: &str,
     ) -> Option<PromptId> {
         if self.pending.is_some() {
             return None;
@@ -122,7 +113,7 @@ impl PromptSurface {
             op: op.into(),
             asked_at: now,
             state: PromptState::Pending,
-            secret: self.secret.clone(),
+            secret: secret.to_string(),
         });
         Some(id)
     }
@@ -193,7 +184,6 @@ mod pack {
         secret
     });
     impl_pack!(PromptSurface {
-        secret,
         next,
         pending,
         history
@@ -205,13 +195,15 @@ mod tests {
     use super::*;
 
     fn surface() -> PromptSurface {
-        PromptSurface::new("cat.png")
+        PromptSurface::default()
     }
 
     #[test]
     fn ask_answer_round_trip() {
         let mut s = surface();
-        let id = s.ask("skype", "cam", Timestamp::from_millis(5)).unwrap();
+        let id = s
+            .ask("skype", "cam", Timestamp::from_millis(5), "cat.png")
+            .unwrap();
         assert_eq!(s.pending().unwrap().id, id);
         let resolved = s.answer(true).unwrap();
         assert_eq!(resolved.state, PromptState::Approved);
@@ -222,17 +214,17 @@ mod tests {
     #[test]
     fn deny_answer() {
         let mut s = surface();
-        s.ask("spy", "mic", Timestamp::ZERO).unwrap();
+        s.ask("spy", "mic", Timestamp::ZERO, "cat.png").unwrap();
         assert_eq!(s.answer(false).unwrap().state, PromptState::Denied);
     }
 
     #[test]
     fn only_one_prompt_pending() {
         let mut s = surface();
-        s.ask("a", "cam", Timestamp::ZERO).unwrap();
-        assert_eq!(s.ask("b", "mic", Timestamp::ZERO), None);
+        s.ask("a", "cam", Timestamp::ZERO, "cat.png").unwrap();
+        assert_eq!(s.ask("b", "mic", Timestamp::ZERO, "cat.png"), None);
         s.answer(true);
-        assert!(s.ask("b", "mic", Timestamp::ZERO).is_some());
+        assert!(s.ask("b", "mic", Timestamp::ZERO, "cat.png").is_some());
     }
 
     #[test]
@@ -244,7 +236,7 @@ mod tests {
     #[test]
     fn rendering_embeds_secret() {
         let mut s = surface();
-        s.ask("skype", "cam", Timestamp::ZERO).unwrap();
+        s.ask("skype", "cam", Timestamp::ZERO, "cat.png").unwrap();
         let text = s.pending().unwrap().render();
         assert!(text.starts_with("[cat.png]"));
         assert!(text.contains("skype"));
@@ -254,10 +246,10 @@ mod tests {
     #[test]
     fn asked_count_tracks_pending_and_history() {
         let mut s = surface();
-        s.ask("a", "cam", Timestamp::ZERO).unwrap();
+        s.ask("a", "cam", Timestamp::ZERO, "cat.png").unwrap();
         assert_eq!(s.asked_count(), 1);
         s.answer(false);
-        s.ask("b", "mic", Timestamp::ZERO).unwrap();
+        s.ask("b", "mic", Timestamp::ZERO, "cat.png").unwrap();
         assert_eq!(s.asked_count(), 2);
     }
 }

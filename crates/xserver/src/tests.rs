@@ -1124,11 +1124,11 @@ fn fake_alert_window_is_distinguishable_from_overlay() {
     let real = rig.x.show_alert("skype", "mic", true, None, false);
     assert!(Alert::looks_authentic(
         &real.render(),
-        rig.x.alerts().secret()
+        &rig.x.config().shared_secret
     ));
     assert!(!Alert::looks_authentic(
         "[???] totally-legit is using the mic",
-        rig.x.alerts().secret()
+        &rig.x.config().shared_secret
     ));
 }
 

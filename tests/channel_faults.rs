@@ -13,7 +13,8 @@ use overhaul_core::timeline::{self, Source};
 use overhaul_core::{BootError, OverhaulConfig, System};
 use overhaul_kernel::error::Errno;
 use overhaul_kernel::netlink::{ChannelState, NetlinkError, NetlinkMessage};
-use overhaul_sim::{AuditCategory, FaultPlan, FaultSpec, SimDuration, Timestamp};
+use overhaul_kernel::procfs;
+use overhaul_sim::{AuditCategory, FaultPlan, FaultSpec, Pid, SimDuration, Timestamp};
 use overhaul_xserver::geometry::Rect;
 use proptest::prelude::*;
 
@@ -355,9 +356,10 @@ fn identical_fault_plans_produce_identical_runs() {
 }
 
 /// A plan installed after boot is state, like one compiled from the boot
-/// configuration: the machine reports it, its snapshot carries it, a
-/// restored machine decides what the live one decides, and its crash
-/// schedule fires.
+/// configuration, and so are the knobs set after boot: δ and ptrace
+/// hardening through procfs, grant-all through the monitor. The machine
+/// reports them, its snapshot carries them, a restored machine reads and
+/// decides what the live one does, and the plan's crash schedule fires.
 #[test]
 fn plan_installed_after_boot_is_part_of_the_state() {
     let mut live = System::protected();
@@ -365,17 +367,44 @@ fn plan_installed_after_boot_is_part_of_the_state() {
         .launch_gui_app("/usr/bin/recorder", Rect::new(0, 0, 100, 100))
         .expect("launch");
     live.settle();
+    let kernel = live.kernel_mut();
+    kernel
+        .sys_procfs_write(Pid::INIT, procfs::DELTA_MS, "750")
+        .expect("root sets δ");
+    kernel
+        .sys_procfs_write(Pid::INIT, procfs::PTRACE_HARDENING, "0")
+        .expect("root turns hardening off");
+    let mut monitor = kernel.config().monitor;
+    monitor.grant_all = true;
+    kernel.set_monitor_config(monitor);
     let crash_at = live.now() + SimDuration::from_millis(500);
     let spec = FaultSpec::quiet(9)
         .with_drop_p(1.0)
         .with_x_crashes(vec![crash_at]);
     live.kernel_mut().install_fault_plan(FaultPlan::new(spec));
     assert_eq!(live.fault_plan().map(|plan| plan.spec().seed), Some(9));
+    let config = live.kernel().config();
+    assert_eq!(config.monitor.delta, SimDuration::from_millis(750));
+    assert!(config.monitor.grant_all && !config.ptrace_hardening);
 
     let mut restored = System::from_snapshot(&live.snapshot()).expect("restore");
     assert_eq!(restored.state_hash(), live.state_hash());
-    let channels = [&mut live, &mut restored].map(|machine| {
-        // Every message is dropped: the click never reaches the kernel.
+    for node in [procfs::PTRACE_HARDENING, procfs::DELTA_MS, procfs::STATS] {
+        assert_eq!(
+            restored.kernel().sys_procfs_read(node),
+            live.kernel().sys_procfs_read(node),
+            "{node}"
+        );
+    }
+    assert_eq!(restored.kernel().config(), live.kernel().config());
+    assert_eq!(restored.control_plane(), live.control_plane());
+    let verdicts = [&mut live, &mut restored].map(|machine| {
+        // Grant-all grants a request no interaction stands behind.
+        let spy = machine.spawn_process(None, "/usr/bin/.spy").expect("spawn");
+        let unprompted = machine.open_device(spy, "/dev/video0").is_ok();
+        assert!(unprompted, "grant-all survives the restore");
+        // Every message is dropped: the click never reaches the kernel,
+        // and a down channel fails closed even under grant-all.
         machine.click_window(app.window);
         machine.advance(SimDuration::from_millis(10));
         assert_eq!(
@@ -385,9 +414,9 @@ fn plan_installed_after_boot_is_part_of_the_state() {
         let channel = machine.channel_state();
         machine.advance(SimDuration::from_secs(1));
         assert!(!machine.x_alive(), "the scheduled crash fired");
-        channel
+        (unprompted, channel)
     });
-    assert_eq!(channels[0], channels[1]);
+    assert_eq!(verdicts[0], verdicts[1]);
     assert_eq!(restored.state_hash(), live.state_hash());
 }
 

@@ -308,7 +308,7 @@ fn audit_timeline_example_output_is_pinned() {
             hash64(machine.metrics().as_bytes()),
         ),
         (
-            0x8136_63a6_ae1d_75e0,
+            0x2562_9e59_a702_1721,
             0xcb79_e7f9_9813_b7b6,
             0x2723_a1a9_6cea_21dd
         ),
@@ -370,7 +370,7 @@ fn drawn_windows_and_pipe_state_section_is_pinned() {
     let snapshot = machine.snapshot();
     assert_eq!(
         (snapshot.state().len(), hash64(snapshot.state())),
-        (7_873, 0x3db3_c3d1_e806_6762),
+        (7_507, 0x4e86_2264_eb6d_b3fd),
         "state section length and hash"
     );
 }

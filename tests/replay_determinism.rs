@@ -279,7 +279,7 @@ fn faulted_soak_bytes_are_pinned() {
     assert_eq!(
         (state, trace, sketch),
         (
-            0xc2f0_8e74_b620_0391,
+            0x86c7_5d7d_b179_6481,
             0x6b04_7f5c_303e_2bd5,
             0x97f3_fb28_22ec_422d,
         ),

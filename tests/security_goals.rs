@@ -161,7 +161,7 @@ fn s4_alerts_are_shown_and_unforgeable() {
     machine.click_window(app.window);
     machine.open_device(app.pid, "/dev/snd/mic0").unwrap();
     let alert = machine.alert_history().last().unwrap().clone();
-    let secret = machine.xserver().alerts().secret().to_string();
+    let secret = machine.xserver().config().shared_secret.clone();
     assert!(Alert::looks_authentic(&alert.render(), &secret));
     // An application cannot reproduce the rendering without the secret.
     assert!(!Alert::looks_authentic(

@@ -301,7 +301,7 @@ fn an_undrawn_window_with_a_widened_rect_restores_and_captures_its_fill() {
     assert_ne!(restored.state_hash(), system.state_hash());
     // A click grants the owner's root capture, so the root is composited.
     assert!(restored.click_window(gui.window));
-    let screen = restored.config().x.screen;
+    let screen = restored.xserver().config().screen;
     assert_eq!(
         capture(&mut restored, gui.client, None).len() as u64,
         screen.area()
