@@ -23,7 +23,6 @@ use overhaul_kernel::device::{DeviceClass, DeviceId};
 use overhaul_kernel::error::SysResult;
 use overhaul_kernel::ipc::shm::ShmId;
 use overhaul_kernel::mm::VmaId;
-use overhaul_kernel::policy::{DecisionOutcome, IngestEvent};
 use overhaul_sim::snapshot::{Dec, Enc, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{Fd, Pid, SimDuration, Timestamp};
 use overhaul_xserver::geometry::{Point, Rect};
@@ -227,14 +226,6 @@ pub enum Event {
         /// Bytes to read.
         len: usize,
     },
-    /// A batched mixed stream of interaction notifications and permission
-    /// requests ([`System::ingest_batch`]). One recorded event covers the
-    /// whole batch, so high-rate harnesses log (and replay, and bisect)
-    /// thousands of decisions as a single input.
-    IngestBatch {
-        /// The batch, in ingestion order.
-        events: Vec<IngestEvent>,
-    },
 }
 
 /// What applying an [`Event`] produced. Replayed runs are deterministic,
@@ -279,9 +270,6 @@ pub enum ApplyOutcome {
     XEvents(Result<Vec<XEvent>, XError>),
     /// Display-manager restart result (replayed alert count).
     Restarted(Result<usize, BootError>),
-    /// Batched ingestion outcomes, aligned with the input events
-    /// (`Some` per request, `None` per interaction).
-    Ingested(Vec<Option<DecisionOutcome>>),
 }
 
 impl ApplyOutcome {
@@ -354,14 +342,6 @@ impl ApplyOutcome {
         match self {
             ApplyOutcome::XEvents(events) => events,
             other => panic!("expected a drained-queue outcome, got {other:?}"),
-        }
-    }
-
-    /// The batched ingestion outcomes; panics on any other outcome.
-    pub fn ingested(self) -> Vec<Option<DecisionOutcome>> {
-        match self {
-            ApplyOutcome::Ingested(outcomes) => outcomes,
-            other => panic!("expected an ingestion outcome, got {other:?}"),
         }
     }
 }
@@ -447,7 +427,6 @@ pub fn apply_event(system: &mut System, event: &Event) -> ApplyOutcome {
             offset,
             len,
         } => ApplyOutcome::Bytes(system.kernel_mut().sys_shm_read(*pid, *vma, *offset, *len)),
-        Event::IngestBatch { events } => ApplyOutcome::Ingested(system.ingest_batch(events)),
     }
 }
 
@@ -780,6 +759,24 @@ mod tests {
         let replayed = replay(&log).expect("replay boots");
         assert_eq!(replayed.kernel().snapshot_stats().replay_divergence, 1);
     }
+
+    #[test]
+    fn retired_batch_tag_decodes_to_bad_value() {
+        // Event tag 28 belonged to the retired batched-ingestion event (an
+        // empty batch here); a log carrying it is rejected cleanly.
+        let mut state = Enc::new();
+        OverhaulConfig::protected().pack(&mut state);
+        state.put_u64(1);
+        state.put_u8(28);
+        state.put_u64(0);
+        None::<u64>.pack(&mut state);
+        None::<u64>.pack(&mut state);
+        let bytes = Snapshot::new(state.into_bytes(), Vec::new()).to_bytes();
+        assert_eq!(
+            EventLog::from_bytes(&bytes).map(|log| log.events),
+            Err(SnapshotError::BadValue("event"))
+        );
+    }
 }
 
 mod pack {
@@ -932,10 +929,6 @@ mod pack {
                     offset.pack(enc);
                     len.pack(enc);
                 }
-                Event::IngestBatch { events } => {
-                    enc.put_u8(28);
-                    events.pack(enc);
-                }
             }
         }
         fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
@@ -1042,9 +1035,6 @@ mod pack {
                 },
                 27 => Event::DrainEvents {
                     client: Pack::unpack(dec)?,
-                },
-                28 => Event::IngestBatch {
-                    events: Pack::unpack(dec)?,
                 },
                 _ => return Err(SnapshotError::BadValue("event")),
             })

@@ -599,21 +599,6 @@ impl System {
         }
     }
 
-    /// Feeds a batched mixed stream of interaction notifications and
-    /// permission requests to the kernel ([`Kernel::ingest_batch`]), then
-    /// pumps any alert pushes. Effects are byte-identical to issuing the
-    /// same events one call at a time in the same order; the returned
-    /// vector is aligned with the input (`Some` per request, `None` per
-    /// interaction).
-    pub fn ingest_batch(
-        &mut self,
-        events: &[overhaul_kernel::policy::IngestEvent],
-    ) -> Vec<Option<overhaul_kernel::policy::DecisionOutcome>> {
-        let outcomes = self.kernel.ingest_batch(events);
-        self.pump_alerts();
-        outcomes
-    }
-
     /// Forwards pending kernel alert requests (`V_{A,op}`) to the display
     /// manager's overlay. Called automatically by the input/request/device
     /// helpers.

@@ -116,10 +116,8 @@ fn main() {
         "merged fleet latency sketches:\n{}",
         report.render_latency()
     );
-    println!(
-        "merged sketch canonical hash {:#018x} (deterministic plane)",
-        hash64(&report.sketches.canonical_bytes())
-    );
+    let sketch_hash = hash64(&report.sketches.canonical_bytes());
+    println!("merged sketch canonical hash {sketch_hash:#018x} (deterministic plane)");
     let ledger_entries_total: u64 = report.ledgers.iter().map(|(_, l)| l.entries).sum();
     println!(
         "ledger view: {} shards, {} retained entries, {} distinct chain heads\n",
@@ -296,7 +294,9 @@ fn main() {
 
     // Merged latency artifact. Wall-clock percentiles are informational
     // (they vary with the host); the CI diff gate pins the count-shaped
-    // keys, which are deterministic for a given master seed.
+    // keys and the canonical sketch hash, which are deterministic for a
+    // given master seed. The hash is written as two 32-bit halves because
+    // a JSON number holds a u32 exactly and a u64 it does not.
     let merged = &report.sketches;
     let decide_samples = merged
         .wall_merged(&overhaul_sim::Mechanism::parse("decide").expect("decide parses"))
@@ -309,7 +309,9 @@ fn main() {
             "ledger_heads_distinct",
             report.distinct_ledger_heads() as u64,
         )
-        .int("decide_samples", decide_samples);
+        .int("decide_samples", decide_samples)
+        .int("sketch_hash_hi", sketch_hash >> 32)
+        .int("sketch_hash_lo", sketch_hash & 0xffff_ffff);
     for mech in merged.recorded() {
         let s = merged.wall_merged(&[mech]);
         let label = mech.label();

@@ -18,8 +18,6 @@ use overhaul_apps::campaign::{
     self, Campaign, CampaignReport, Expectation, Stage, StageHost, StageVerdict,
 };
 use overhaul_core::{apply_event, replay, ApplyOutcome, Event, EventLog, Gui, System};
-use overhaul_kernel::monitor::ResourceOp;
-use overhaul_kernel::policy::{IngestEvent, OpRequest};
 use overhaul_sim::{
     LedgerSummary, MetricsRegistry, Pid, SimDuration, SimRng, SketchBook, Snapshot,
 };
@@ -590,7 +588,7 @@ fn generate_op(
         48..=55 => ShardOp::Sys(Event::Key {
             ch: (b'a' + rng.range(0, 26) as u8) as char,
         }),
-        56..=67 => match pick_gui(rng, live) {
+        56..=67 | 82..=83 => match pick_gui(rng, live) {
             Some(gui) => ShardOp::Sys(Event::OpenDevice {
                 pid: gui.pid,
                 path: pick_device(rng),
@@ -611,10 +609,6 @@ fn generate_op(
             Some(gui) => ShardOp::Sys(Event::DrainEvents { client: gui.client }),
             None => launch(rng, live),
         },
-        82..=83 => match ingest_batch(rng, system, live) {
-            Some(op) => op,
-            None => launch(rng, live),
-        },
         84..=89 => launch(rng, live),
         90..=93 => match pick_spy(rng, live) {
             Some(pid) => ShardOp::Sys(Event::SysFork { pid }),
@@ -625,37 +619,6 @@ fn generate_op(
             rng.range(1_000, 4_000),
         ))),
     }
-}
-
-/// Draws a batched ingestion event: a mixed run of interaction
-/// notifications and permission requests over the live GUI pids at the
-/// current virtual time. The whole batch records as ONE replay event, so
-/// the recorded log exercises [`Event::IngestBatch`] end to end —
-/// replayable and bisectable by construction, like every other op.
-fn ingest_batch(rng: &mut SimRng, system: &System, live: &mut LiveState) -> Option<ShardOp> {
-    if live.guis.is_empty() {
-        return None;
-    }
-    let now = system.now();
-    let ops = [ResourceOp::Mic, ResourceOp::Cam, ResourceOp::Screen];
-    let len = rng.range(2, 9);
-    let mut events = Vec::with_capacity(len as usize);
-    for _ in 0..len {
-        let gui = live.guis[rng.range(0, live.guis.len() as u64) as usize];
-        if rng.chance(0.3) {
-            events.push(IngestEvent::Interaction {
-                pid: gui.pid,
-                at: now,
-            });
-        } else {
-            events.push(IngestEvent::Request(OpRequest {
-                pid: gui.pid,
-                op: ops[rng.range(0, ops.len() as u64) as usize],
-                at: now,
-            }));
-        }
-    }
-    Some(ShardOp::Sys(Event::IngestBatch { events }))
 }
 
 fn pick_gui(rng: &mut SimRng, live: &LiveState) -> Option<Gui> {

@@ -1441,12 +1441,12 @@ impl Kernel {
         seq
     }
 
-    /// Batched event ingestion: feeds a mixed stream of interaction
-    /// notifications and permission requests through the kernel in one
-    /// call, so workloads and the fleet harness drive mediation without
-    /// per-event dispatch overhead. Each request is decided through the
-    /// traced path (cache + audit + stats) as it is read; interactions
-    /// flow through the same path as [`Kernel::record_interaction_direct`]
+    /// Feeds a mixed stream of interaction notifications and permission
+    /// requests through the kernel, one event at a time: a loop over the
+    /// per-event calls that stays only for the repository benchmark's
+    /// `decide_hot` workload and layer probe. Each request is decided
+    /// through the traced path (cache + audit + stats) as it is read;
+    /// interactions flow through [`Kernel::record_interaction_direct`]
     /// (notifications for dead pids are dropped, exactly like the
     /// per-event call).
     ///

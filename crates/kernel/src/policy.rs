@@ -197,8 +197,8 @@ pub struct OpRequest {
 
 /// One element of a batched ingestion feed (`Kernel::ingest_batch`): an
 /// authentic-interaction notification or a permission request. `Copy` and
-/// integer-only so batches move through the kernel, the replay log, and
-/// the fleet harness without touching the heap per event.
+/// integer-only so a batch moves through the kernel without touching the
+/// heap per event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestEvent {
     /// An authentic user interaction observed for `pid` at `at`.
@@ -814,58 +814,14 @@ pub fn adopt_on_receive(receiver: Option<Timestamp>, slot: Option<Timestamp>) ->
 }
 
 mod pack {
-    //! Snapshot codec for credit chains and batched ingestion payloads.
-    //! Verdict-cache entries and last decisions are *derived* state —
-    //! rebuilt after restore, never serialized — so only the provenance
-    //! and wire types get codecs.
+    //! Snapshot codec for credit chains. Verdict-cache entries and last
+    //! decisions are *derived* state — rebuilt after restore, never
+    //! serialized — so only the provenance types get codecs.
 
     use overhaul_sim::impl_pack;
     use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
-    use overhaul_sim::{Pid, Timestamp};
 
-    use super::{CreditChain, CreditHop, IngestEvent, IpcMechanism, OpRequest};
-    use crate::monitor::ResourceOp;
-
-    impl Pack for OpRequest {
-        fn pack(&self, enc: &mut Enc) {
-            self.pid.pack(enc);
-            self.op.pack(enc);
-            self.at.pack(enc);
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(OpRequest {
-                pid: Pid::unpack(dec)?,
-                op: ResourceOp::unpack(dec)?,
-                at: Timestamp::unpack(dec)?,
-            })
-        }
-    }
-
-    impl Pack for IngestEvent {
-        fn pack(&self, enc: &mut Enc) {
-            match self {
-                IngestEvent::Interaction { pid, at } => {
-                    enc.put_u8(0);
-                    pid.pack(enc);
-                    at.pack(enc);
-                }
-                IngestEvent::Request(req) => {
-                    enc.put_u8(1);
-                    req.pack(enc);
-                }
-            }
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(match dec.take_u8()? {
-                0 => IngestEvent::Interaction {
-                    pid: Pid::unpack(dec)?,
-                    at: Timestamp::unpack(dec)?,
-                },
-                1 => IngestEvent::Request(OpRequest::unpack(dec)?),
-                _ => return Err(SnapshotError::BadValue("ingest event tag")),
-            })
-        }
-    }
+    use super::{CreditChain, CreditHop, IpcMechanism};
 
     impl Pack for IpcMechanism {
         fn pack(&self, enc: &mut Enc) {

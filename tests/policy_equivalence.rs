@@ -637,192 +637,3 @@ fn quarantine_cause_agrees_between_audit_and_overlay() {
     assert_eq!(alert.reason.as_deref(), Some(needle));
     assert!(alert.render().contains(&format!("({needle})")));
 }
-
-// ------------------------------------------------------------------
-// Batched ingestion differential
-// ------------------------------------------------------------------
-
-/// One step of a batched-ingestion timeline: advance virtual time, or
-/// ingest a mixed batch described as (is_interaction, gui index, op
-/// index) triples stamped at the current virtual time.
-#[derive(Debug, Clone)]
-enum IngestAction {
-    Advance(u64),
-    Click(usize),
-    Batch(Vec<(bool, usize, usize)>),
-}
-
-fn ingest_action_strategy() -> impl Strategy<Value = IngestAction> {
-    prop_oneof![
-        (1u64..3500).prop_map(IngestAction::Advance),
-        (0usize..2).prop_map(IngestAction::Click),
-        prop::collection::vec((any::<bool>(), 0usize..3, 0usize..6), 1..24)
-            .prop_map(IngestAction::Batch),
-    ]
-}
-
-/// Builds the concrete event batch for a [`IngestAction::Batch`] against
-/// the live system: gui index 2 maps to a dead pid (notifications for it
-/// must be dropped, requests must deny as unknown-process).
-fn build_ingest_events(
-    system: &overhaul_core::System,
-    guis: &[overhaul_core::Gui],
-    batch: &[(bool, usize, usize)],
-) -> Vec<overhaul_kernel::policy::IngestEvent> {
-    use overhaul_kernel::policy::{IngestEvent, OpRequest};
-    const OPS: [ResourceOp; 6] = [
-        ResourceOp::Mic,
-        ResourceOp::Cam,
-        ResourceOp::Sensor,
-        ResourceOp::Screen,
-        ResourceOp::Copy,
-        ResourceOp::Paste,
-    ];
-    let at = system.now();
-    batch
-        .iter()
-        .map(|&(interact, who, op)| {
-            let pid = guis
-                .get(who)
-                .map(|g| g.pid)
-                .unwrap_or(Pid::from_raw(60_000));
-            if interact {
-                overhaul_kernel::policy::IngestEvent::Interaction { pid, at }
-            } else {
-                IngestEvent::Request(OpRequest {
-                    pid,
-                    op: OPS[op],
-                    at,
-                })
-            }
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Drives two identically-booted machines through the same random
-    /// timeline — one ingesting each batch through [`System::ingest_batch`]
-    /// in a single call, the other issuing every event individually
-    /// through the kernel — and requires byte-identical `state_hash`,
-    /// trace dump, and sealed ledger head at the end. Any divergence in
-    /// monitor counters, cache state, ledger entries, or span sampling
-    /// between the batched and per-event paths shows up here.
-    #[test]
-    fn ingest_batch_matches_per_event_path(
-        actions in prop::collection::vec(ingest_action_strategy(), 1..30),
-    ) {
-        let boot = || {
-            let mut system = System::new(OverhaulConfig::protected());
-            let a = system
-                .launch_gui_app("/usr/bin/a", Rect::new(0, 0, 100, 100))
-                .expect("launch a");
-            let b = system
-                .launch_gui_app("/usr/bin/b", Rect::new(200, 0, 100, 100))
-                .expect("launch b");
-            system.settle();
-            (system, vec![a, b])
-        };
-        let (mut batched, guis) = boot();
-        let (mut serial, serial_guis) = boot();
-        prop_assert_eq!(&guis, &serial_guis, "boot is deterministic");
-
-        for action in &actions {
-            match action {
-                IngestAction::Advance(ms) => {
-                    batched.advance(SimDuration::from_millis(*ms));
-                    serial.advance(SimDuration::from_millis(*ms));
-                }
-                IngestAction::Click(who) => {
-                    batched.click_window(guis[*who].window);
-                    serial.click_window(guis[*who].window);
-                }
-                IngestAction::Batch(batch) => {
-                    let events = build_ingest_events(&batched, &guis, batch);
-                    let outcomes = batched.ingest_batch(&events);
-                    prop_assert_eq!(outcomes.len(), events.len());
-                    for event in &events {
-                        match event {
-                            overhaul_kernel::policy::IngestEvent::Request(r) => {
-                                serial.kernel_mut().decide_direct(r.pid, r.at, r.op);
-                            }
-                            overhaul_kernel::policy::IngestEvent::Interaction { pid, at } => {
-                                let _ = serial
-                                    .kernel_mut()
-                                    .record_interaction_direct(*pid, *at);
-                            }
-                        }
-                    }
-                    serial.pump_alerts();
-                }
-            }
-        }
-        prop_assert_eq!(batched.state_hash(), serial.state_hash());
-        prop_assert_eq!(batched.ledger_head(), serial.ledger_head());
-        prop_assert_eq!(batched.trace_dump(), serial.trace_dump());
-    }
-
-    /// Records a timeline whose batches land in the event log as single
-    /// [`Event::IngestBatch`] entries, round-trips the log through bytes
-    /// (exercising the batch codec), replays it from boot, and replays the
-    /// suffix from a mid-run snapshot. Both replays must re-land on the
-    /// recorded state hash and sealed ledger head.
-    #[test]
-    fn recorded_ingest_batches_replay_from_boot_and_snapshot(
-        prefix in prop::collection::vec(ingest_action_strategy(), 1..15),
-        suffix in prop::collection::vec(ingest_action_strategy(), 1..15),
-    ) {
-        use overhaul_core::{replay, replay_from, Event, Recorder};
-
-        let mut rec = Recorder::new(OverhaulConfig::protected());
-        let a = rec
-            .apply(Event::LaunchGuiApp {
-                exe: "/usr/bin/a".into(),
-                rect: Rect::new(0, 0, 100, 100),
-            })
-            .gui()
-            .expect("launch a");
-        let b = rec
-            .apply(Event::LaunchGuiApp {
-                exe: "/usr/bin/b".into(),
-                rect: Rect::new(200, 0, 100, 100),
-            })
-            .gui()
-            .expect("launch b");
-        rec.apply(Event::Settle);
-        let guis = vec![a, b];
-
-        let record = |rec: &mut Recorder, actions: &[IngestAction]| {
-            for action in actions {
-                let event = match action {
-                    IngestAction::Advance(ms) => Event::Advance(SimDuration::from_millis(*ms)),
-                    IngestAction::Click(who) => Event::ClickWindow {
-                        window: guis[*who].window,
-                    },
-                    IngestAction::Batch(batch) => Event::IngestBatch {
-                        events: build_ingest_events(rec.system(), &guis, batch),
-                    },
-                };
-                rec.apply(event);
-            }
-        };
-        record(&mut rec, &prefix);
-        let snap = rec.snapshot();
-        let taken_at = rec.events_recorded();
-        record(&mut rec, &suffix);
-        let (recorded, log) = rec.finish();
-
-        let bytes = log.to_bytes();
-        let log = overhaul_core::EventLog::from_bytes(&bytes).expect("codec round-trip");
-
-        let replayed = replay(&log).expect("replay from boot");
-        prop_assert_eq!(replayed.state_hash(), recorded.state_hash());
-        prop_assert_eq!(replayed.ledger_head(), recorded.ledger_head());
-
-        let resumed = replay_from(&snap, log.suffix(taken_at), log.final_state_hash)
-            .expect("replay from snapshot");
-        prop_assert_eq!(resumed.state_hash(), recorded.state_hash());
-        prop_assert_eq!(resumed.ledger_head(), recorded.ledger_head());
-    }
-}
