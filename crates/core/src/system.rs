@@ -173,9 +173,7 @@ impl System {
                 Ok(conn) => return Ok(conn),
                 Err(NetlinkError::AuthTransient) if attempt + 1 < Self::BOOT_AUTH_ATTEMPTS => {
                     attempt += 1;
-                    clock.advance(SimDuration::from_millis(
-                        backoff.as_millis() << (attempt - 1),
-                    ));
+                    clock.advance(backoff.saturating_doubled(attempt - 1));
                 }
                 Err(err) => return Err(BootError::ChannelAuth(err)),
             }

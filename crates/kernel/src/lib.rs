@@ -959,9 +959,10 @@ impl Kernel {
                         None,
                         "channel: message lost in flight; retrying",
                     ));
-                    let backoff = SimDuration::from_millis(
-                        self.config.channel_retry_backoff.as_millis() << (attempt - 1),
-                    );
+                    let backoff = self
+                        .config
+                        .channel_retry_backoff
+                        .saturating_doubled(attempt - 1);
                     self.tracer.event(
                         "channel.fault",
                         self.clock.now(),

@@ -118,6 +118,13 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
+
+    /// This duration doubled `times` times, saturating at `u64::MAX` ms:
+    /// the exponential backoff before a retry.
+    pub fn saturating_doubled(self, times: u32) -> SimDuration {
+        let factor = 1u64.checked_shl(times).unwrap_or(u64::MAX);
+        SimDuration(self.0.saturating_mul(factor))
+    }
 }
 
 impl fmt::Display for SimDuration {
@@ -217,6 +224,18 @@ mod tests {
         let late = Timestamp::from_millis(9);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(4));
+    }
+
+    #[test]
+    fn saturating_doubled_stops_at_the_end_of_time() {
+        let base = SimDuration::from_millis(10);
+        assert_eq!(base.saturating_doubled(0), base);
+        assert_eq!(base.saturating_doubled(2), SimDuration::from_millis(40));
+        assert_eq!(base.saturating_doubled(60).as_millis(), 10 << 60);
+        for times in [61, 64, 99, u32::MAX] {
+            assert_eq!(base.saturating_doubled(times).as_millis(), u64::MAX);
+        }
+        assert_eq!(SimDuration::ZERO.saturating_doubled(99), SimDuration::ZERO);
     }
 
     #[test]

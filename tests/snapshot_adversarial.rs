@@ -13,7 +13,9 @@ use overhaul_core::{apply_event, replay, Event, EventLog, Gui, OverhaulConfig, R
 use overhaul_fleet::FailureTriple;
 use overhaul_fleet::{run_shard, FleetWorkload, ShardBeat, ShardOutcome, ShardPlan};
 use overhaul_kernel::error::Errno;
-use overhaul_sim::{Enc, LedgerError, Pack, SimDuration, SimRng, Snapshot, SnapshotError};
+use overhaul_sim::{
+    Enc, FaultSpec, LedgerError, Pack, SimDuration, SimRng, Snapshot, SnapshotError, Timestamp,
+};
 use overhaul_xserver::geometry::Rect;
 use overhaul_xserver::protocol::{ClientId, Reply, Request};
 use overhaul_xserver::window::WindowId;
@@ -334,6 +336,40 @@ fn a_window_rect_outside_the_x11_range_is_rejected() {
             );
         }
     }
+}
+
+/// A replayed log may carry any channel retry policy. Under a plan that
+/// drops every message, a hundred retries with a 10 ms base backoff double
+/// the wait past the end of time: the backoff saturates, the clock refuses
+/// the advances it cannot make, and the replay returns at one virtual
+/// time in every build profile.
+#[test]
+fn replayed_retry_backoff_saturates_at_the_end_of_time() {
+    let drop_all = OverhaulConfig::protected().with_fault(FaultSpec::quiet(5).with_drop_p(1.0));
+    let mut rec = Recorder::new(drop_all);
+    let gui = rec
+        .apply(Event::LaunchGuiApp {
+            exe: "/usr/bin/editor".into(),
+            rect: WINDOW,
+        })
+        .gui()
+        .expect("launch");
+    rec.apply(Event::Settle);
+    rec.apply(Event::ClickWindow { window: gui.window });
+    let (_, mut log) = rec.finish();
+    log.config = log
+        .config
+        .with_channel_retry(100, SimDuration::from_millis(10));
+    let decoded = EventLog::from_bytes(&log.to_bytes()).expect("log round-trip");
+    let replayed = panic::catch_unwind(AssertUnwindSafe(|| replay(&decoded)))
+        .unwrap_or_else(|_| panic!("replaying a hundred retries panicked"))
+        .expect("boot");
+    // The settle's 501 ms plus sixty doublings of 10 ms, 10 × (2^60 − 1);
+    // the sixty-first would pass the end of time.
+    assert_eq!(
+        replayed.now(),
+        Timestamp::from_millis(11_529_215_046_068_470_251)
+    );
 }
 
 /// A decoded log may carry any window geometry. A launch outside X11's
