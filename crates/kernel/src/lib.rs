@@ -308,7 +308,9 @@ impl Kernel {
         self.clock.now()
     }
 
-    /// Current configuration.
+    /// The kernel's configuration: the one copy of every kernel setting,
+    /// including those set after boot through procfs or
+    /// [`Kernel::set_monitor_config`].
     pub fn config(&self) -> &KernelConfig {
         &self.config
     }

@@ -670,8 +670,8 @@ impl Kernel {
     pub fn sys_shmat(&mut self, pid: Pid, shm: ShmId) -> SysResult<VmaId> {
         self.caller(pid)?;
         self.shm.attach(shm)?;
-        let interpose = self.overhaul_enabled();
-        Ok(self.mm.map_shared(pid, shm, interpose))
+        let wait = self.shm_wait();
+        Ok(self.mm.map_shared(pid, shm, wait))
     }
 
     /// `shmdt(2)` / `munmap`.

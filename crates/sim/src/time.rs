@@ -227,18 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn saturating_doubled_stops_at_the_end_of_time() {
-        let base = SimDuration::from_millis(10);
-        assert_eq!(base.saturating_doubled(0), base);
-        assert_eq!(base.saturating_doubled(2), SimDuration::from_millis(40));
-        assert_eq!(base.saturating_doubled(60).as_millis(), 10 << 60);
-        for times in [61, 64, 99, u32::MAX] {
-            assert_eq!(base.saturating_doubled(times).as_millis(), u64::MAX);
-        }
-        assert_eq!(SimDuration::ZERO.saturating_doubled(99), SimDuration::ZERO);
-    }
-
-    #[test]
     fn duration_seconds_conversion() {
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2000);
         assert_eq!(SimDuration::from_millis(2500).as_secs(), 2);
