@@ -1002,8 +1002,8 @@ mod tests {
     #[test]
     fn integrated_dm_enforces_the_same_policy() {
         // Each wiring, booted and restored from its boot snapshot: whether
-        // it denies a request no fresh click stands behind, and how many
-        // alerts its overlay shows for the script's three opens.
+        // it denies, with EACCES, a request no fresh click stands behind,
+        // and how many alerts its overlay shows for the script's three opens.
         let wirings = [
             ("protected", OverhaulConfig::protected(), true, 3),
             ("integrated", OverhaulConfig::integrated(), true, 3),
@@ -1016,8 +1016,8 @@ mod tests {
             for mut system in [System::new(config), restored] {
                 let app = gui(&mut system, "/usr/bin/recorder", 0);
                 assert_eq!(
-                    system.open_device(app.pid, "/dev/snd/mic0").is_err(),
-                    denies,
+                    system.open_device(app.pid, "/dev/snd/mic0").err(),
+                    denies.then_some(Errno::Eacces),
                     "{name}: no click yet"
                 );
                 system.click_window(app.window);
@@ -1028,8 +1028,8 @@ mod tests {
                 );
                 system.advance(SimDuration::from_secs(3));
                 assert_eq!(
-                    system.open_device(app.pid, "/dev/snd/mic0").is_err(),
-                    denies,
+                    system.open_device(app.pid, "/dev/snd/mic0").err(),
+                    denies.then_some(Errno::Eacces),
                     "{name}: the click is stale"
                 );
                 assert_eq!(system.alert_history().len(), alerts, "{name}");
