@@ -75,8 +75,8 @@ pub struct Vma {
     pid: Pid,
     /// Backing shared segment.
     shm: ShmId,
-    /// `true` while accesses will fault (the `VM_SHARED`-flagged area has
-    /// its permissions revoked).
+    /// `true` while the `VM_SHARED`-flagged area has its permissions
+    /// revoked, so that an interposed access faults.
     perms_revoked: bool,
 }
 
@@ -89,11 +89,6 @@ impl Vma {
     /// Backing segment.
     pub fn shm(&self) -> ShmId {
         self.shm
-    }
-
-    /// Whether the next access will fault.
-    pub fn perms_revoked(&self) -> bool {
-        self.perms_revoked
     }
 }
 
@@ -122,7 +117,7 @@ pub struct MmStats {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let wait = Some(SimDuration::from_millis(500));
 /// let mut mm = MemoryManager::default();
-/// let vma = mm.map_shared(Pid::from_raw(9), ShmId::from_raw(1), wait);
+/// let vma = mm.map_shared(Pid::from_raw(9), ShmId::from_raw(1));
 /// // First access faults (the propagation hook)...
 /// assert_eq!(mm.begin_access(vma, Pid::from_raw(9), AccessKind::Write, Timestamp::ZERO, wait)?,
 ///            AccessPath::Faulted);
@@ -134,7 +129,7 @@ pub struct MmStats {
 /// ```
 /// The memory manager. Whether Overhaul interposes, and the re-arm
 /// window, are the kernel's [`crate::KernelConfig`]; the kernel passes them
-/// in with each mapping and access.
+/// in with each access.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryManager {
     vmas: BTreeMap<VmaId, Vma>,
@@ -149,11 +144,10 @@ impl MemoryManager {
         self.stats
     }
 
-    /// Maps `shm` into `pid`'s address space. `wait` is the re-arm window
-    /// while Overhaul interposes, `None` on a stock kernel. Under
-    /// interposition the mapping starts with permissions revoked, so the
-    /// very first access faults and propagates.
-    pub fn map_shared(&mut self, pid: Pid, shm: ShmId, wait: Option<SimDuration>) -> VmaId {
+    /// Maps `shm` into `pid`'s address space. The mapping starts with
+    /// permissions revoked, so under interposition the very first access
+    /// faults and propagates.
+    pub fn map_shared(&mut self, pid: Pid, shm: ShmId) -> VmaId {
         self.next += 1;
         let id = VmaId(self.next);
         self.vmas.insert(
@@ -162,7 +156,7 @@ impl MemoryManager {
                 id,
                 pid,
                 shm,
-                perms_revoked: wait.is_some(),
+                perms_revoked: true,
             },
         );
         id
@@ -174,8 +168,9 @@ impl MemoryManager {
     }
 
     /// Begins an access to `vma` at `now`, returning which path it takes.
-    /// `wait` is as for [`MemoryManager::map_shared`] (the paper's 500 ms).
-    /// On [`AccessPath::Faulted`] the caller (the kernel) must run the
+    /// `wait` is the re-arm window while Overhaul interposes (the paper's
+    /// 500 ms), `None` on a stock kernel, whose accesses never fault. On
+    /// [`AccessPath::Faulted`] the caller (the kernel) must run the
     /// propagation protocol for the backing segment; this method has
     /// already restored permissions and scheduled the re-arm.
     ///
@@ -334,7 +329,7 @@ mod tests {
     #[test]
     fn first_access_faults_then_direct_within_window() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         let t0 = Timestamp::from_millis(0);
         assert_eq!(
             mm.begin_access(vma, pid(), AccessKind::Write, t0, ON)
@@ -360,7 +355,7 @@ mod tests {
     #[test]
     fn wait_expiry_rearms_fault() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::from_millis(0), ON)
             .unwrap();
         assert_eq!(mm.tick(Timestamp::from_millis(499)), 0, "window still open");
@@ -384,7 +379,7 @@ mod tests {
         // Regression: revoke-then-fault at exactly `t + wait` must hold
         // even when no tick ran between the fault and the boundary access.
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         let t0 = Timestamp::from_millis(0);
         assert_eq!(
             mm.begin_access(vma, pid(), AccessKind::Write, t0, ON)
@@ -431,7 +426,7 @@ mod tests {
     #[test]
     fn interposition_disabled_never_faults() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), None);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         for i in 0..10 {
             assert_eq!(
                 mm.begin_access(
@@ -451,7 +446,7 @@ mod tests {
     #[test]
     fn foreign_process_access_is_eperm() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         assert_eq!(
             mm.begin_access(
                 vma,
@@ -467,7 +462,7 @@ mod tests {
     #[test]
     fn unmap_removes_mapping_and_wait_entries() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         mm.begin_access(vma, pid(), AccessKind::Write, Timestamp::ZERO, ON)
             .unwrap();
         assert_eq!(mm.wait_list_len(), 1);
@@ -482,9 +477,9 @@ mod tests {
     #[test]
     fn unmap_all_for_process_exit() {
         let mut mm = mm();
-        mm.map_shared(pid(), ShmId::from_raw(1), ON);
-        mm.map_shared(pid(), ShmId::from_raw(2), ON);
-        mm.map_shared(Pid::from_raw(99), ShmId::from_raw(3), ON);
+        mm.map_shared(pid(), ShmId::from_raw(1));
+        mm.map_shared(pid(), ShmId::from_raw(2));
+        mm.map_shared(Pid::from_raw(99), ShmId::from_raw(3));
         let removed = mm.unmap_all_for(pid());
         assert_eq!(removed.len(), 2);
         assert_eq!(mm.len(), 1);
@@ -493,8 +488,8 @@ mod tests {
     #[test]
     fn two_mappings_fault_independently() {
         let mut mm = mm();
-        let a = mm.map_shared(pid(), ShmId::from_raw(1), ON);
-        let b = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let a = mm.map_shared(pid(), ShmId::from_raw(1));
+        let b = mm.map_shared(pid(), ShmId::from_raw(1));
         assert_eq!(
             mm.begin_access(a, pid(), AccessKind::Write, Timestamp::ZERO, ON)
                 .unwrap(),
@@ -510,7 +505,7 @@ mod tests {
     #[test]
     fn ablation_wait_zero_faults_every_tick() {
         let mut mm = mm();
-        let vma = mm.map_shared(pid(), ShmId::from_raw(1), ON);
+        let vma = mm.map_shared(pid(), ShmId::from_raw(1));
         for i in 0..5 {
             let now = Timestamp::from_millis(i * 10);
             mm.tick(now);

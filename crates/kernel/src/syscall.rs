@@ -670,8 +670,7 @@ impl Kernel {
     pub fn sys_shmat(&mut self, pid: Pid, shm: ShmId) -> SysResult<VmaId> {
         self.caller(pid)?;
         self.shm.attach(shm)?;
-        let wait = self.shm_wait();
-        Ok(self.mm.map_shared(pid, shm, wait))
+        Ok(self.mm.map_shared(pid, shm))
     }
 
     /// `shmdt(2)` / `munmap`.
