@@ -9,7 +9,8 @@
 //! per-op nanoseconds) or `higher` (for speedup ratios). A key regresses
 //! when it moves in the *worse* direction by more than the threshold
 //! (default 20%), in which case the tool prints the offending key and
-//! exits non-zero — that is the CI gate on the cached decide path. `eq`
+//! exits non-zero. CI's one such gate is the fleet soak's throughput;
+//! speed is otherwise judged by `benchmark compare` on one runner. `eq`
 //! takes no threshold: any difference fails, in either direction. It
 //! gates seeded counts, which a correct change leaves exactly as they
 //! are.

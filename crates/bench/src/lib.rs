@@ -1,10 +1,10 @@
 //! Experiment harnesses regenerating every table and study in the
 //! Overhaul paper (DSN 2016).
 //!
-//! * [`table1`] — the five performance micro-benchmarks of Table I
-//!   (device access, clipboard, screen capture, shared memory, Bonnie++),
-//!   each timed on an unmodified baseline stack and on the grant-all
-//!   Overhaul stack, reporting the relative overhead.
+//! * [`table1`] — the operations of Table I's five performance
+//!   micro-benchmarks (device access, clipboard, screen capture, shared
+//!   memory, Bonnie++), each set up on an unmodified baseline stack or on
+//!   the grant-all Overhaul stack.
 //! * [`usability`] — the §V-B two-task user study with simulated
 //!   participants.
 //! * [`applicability`] — the §V-C functionality / false-positive study
@@ -18,17 +18,18 @@
 //!   run and the prompt-mode comparison, as one seeded artifact whose
 //!   committed baseline `cargo test` pins.
 //!
-//! The `paper` binary prints and writes that artifact; `table1`,
-//! `decision_path` and `ipc_propagation` time the mediation paths, and
-//! `bench_diff` compares a fresh timing artifact with its baseline. The
-//! repository benchmark (`benchmark/`) times the [`table1`] operations
-//! with quartiles over seeds.
+//! The `paper` binary prints and writes that artifact, `ipc_propagation`
+//! times the IPC round trips per mechanism, and `bench_diff` compares a
+//! fresh artifact with its committed baseline. The repository benchmark
+//! (`benchmark/`) times the [`table1`] operations, baseline against
+//! protected, and reports Table I's overhead column with quartiles over
+//! seeds; its traced run also measures the tracing budget.
 //!
 //! The simulated machines charge the real-world cost of expensive
 //! operations to a counter instead of waiting it out
-//! ([`overhaul_sim::work`]). Only the harnesses that time against real
-//! denominators turn the charges back into wall time with [`spin`]: the
-//! [`table1`] iterations and `decision_path`'s wire-query row.
+//! ([`overhaul_sim::work`]). Only the [`table1`] iterations turn the
+//! charges back into wall time with [`spin`], because only they are timed
+//! against real denominators.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

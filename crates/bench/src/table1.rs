@@ -13,11 +13,15 @@
 //! | Shared Memory  | 10 B writes, 1–10 000 pages              | 0.63 %         |
 //! | Bonnie++       | create/stat/delete 102 400 files         | 0.11 %         |
 //!
-//! Iteration counts here are scaled down (the simulator is not the
-//! authors' testbed; the *relative* overhead is the reproduction target).
-//! Alert rendering is excluded from the measured path — on the real system
-//! the display manager renders asynchronously — by disabling device alerts
-//! in the measurement configuration.
+//! This module defines each row's operation once: a `*_setup` building a
+//! baseline or a protected machine, and a `*_iter` running one operation
+//! on it. The repository benchmark's `table1` workload (`benchmark/`)
+//! times them, interleaving the two sides, and reports each row's
+//! overhead; the *relative* overhead is the reproduction target, since the
+//! simulator is not the authors' testbed. Alert rendering is excluded from
+//! the measured path — on the real system the display manager renders
+//! asynchronously — by disabling device alerts in the measurement
+//! configuration.
 //!
 //! The machines charge the modelled real-world cost of driver opens, X
 //! and netlink round trips, alert rendering, framebuffer copies and file
@@ -25,7 +29,7 @@
 //! `*_iter` below spins what its operation charged, so every row times
 //! the paper's baseline per-operation cost plus the simulator's own work.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use overhaul_core::{OverhaulConfig, System};
 use overhaul_kernel::syscall::OpenMode;
@@ -39,70 +43,6 @@ use crate::spin;
 /// Clear audit logs every this many operations so unbounded log growth
 /// does not distort long measurement loops.
 const AUDIT_CLEAR_INTERVAL: u64 = 8192;
-
-/// One row of Table I.
-#[derive(Debug, Clone, Copy)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Operations measured.
-    pub ops: u64,
-    /// Total baseline runtime.
-    pub baseline: Duration,
-    /// Total Overhaul runtime.
-    pub overhaul: Duration,
-    /// The overhead the paper reports, for comparison.
-    pub paper_overhead_pct: f64,
-}
-
-impl Row {
-    /// Measured relative overhead in percent.
-    pub fn overhead_pct(&self) -> f64 {
-        if self.baseline.as_nanos() == 0 {
-            return 0.0;
-        }
-        (self.overhaul.as_nanos() as f64 / self.baseline.as_nanos() as f64 - 1.0) * 100.0
-    }
-}
-
-/// Iteration counts for the five benchmarks.
-#[derive(Debug, Clone, Copy)]
-pub struct Scale {
-    /// Device-node opens.
-    pub device_opens: u64,
-    /// Clipboard pastes.
-    pub pastes: u64,
-    /// Root-window captures.
-    pub captures: u64,
-    /// Shared-memory writes.
-    pub shm_writes: u64,
-    /// File create/stat/delete cycles.
-    pub files: u64,
-}
-
-impl Scale {
-    /// The default scaled-down workload (fast enough for CI).
-    pub fn quick() -> Self {
-        Scale {
-            device_opens: 20_000,
-            pastes: 500,
-            captures: 15,
-            shm_writes: 500_000,
-            files: 5_000,
-        }
-    }
-
-    /// A heavier workload for the standalone binary.
-    pub fn full() -> Self {
-        Scale {
-            device_opens: 200_000,
-            pastes: 5_000,
-            captures: 100,
-            shm_writes: 5_000_000,
-            files: 51_200,
-        }
-    }
-}
 
 fn measurement_config(protected: bool) -> OverhaulConfig {
     let mut config = if protected {
@@ -426,169 +366,11 @@ pub fn fs_iter(bench: &mut FsBench) {
     spin(charged_since(&bench.system, before));
 }
 
-// ------------------------------------------------------------------
-// Runners
-// ------------------------------------------------------------------
-
-/// Times baseline and Overhaul states in alternating chunks so slow
-/// drift (CPU frequency, thermal state) affects both sides equally.
-const INTERLEAVE_CHUNKS: u64 = 16;
-
-fn time_interleaved<B, O>(
-    mut baseline_state: B,
-    mut baseline_iter: impl FnMut(&mut B),
-    mut overhaul_state: O,
-    mut overhaul_iter: impl FnMut(&mut O),
-    ops: u64,
-) -> (Duration, Duration) {
-    let chunk = (ops / INTERLEAVE_CHUNKS).max(1);
-    let mut baseline_total = Duration::ZERO;
-    let mut overhaul_total = Duration::ZERO;
-    let mut done = 0;
-    while done < ops {
-        let n = chunk.min(ops - done);
-        let start = Instant::now();
-        for _ in 0..n {
-            baseline_iter(&mut baseline_state);
-        }
-        baseline_total += start.elapsed();
-        let start = Instant::now();
-        for _ in 0..n {
-            overhaul_iter(&mut overhaul_state);
-        }
-        overhaul_total += start.elapsed();
-        done += n;
-    }
-    (baseline_total, overhaul_total)
-}
-
-/// Runs all five benchmarks at the given scale, returning Table I.
-pub fn run_all(scale: Scale) -> Vec<Row> {
-    let (device_base, device_ovh) = time_interleaved(
-        device_setup(false),
-        device_iter,
-        device_setup(true),
-        device_iter,
-        scale.device_opens,
-    );
-    let (clip_base, clip_ovh) = time_interleaved(
-        clipboard_setup(false),
-        clipboard_iter,
-        clipboard_setup(true),
-        clipboard_iter,
-        scale.pastes,
-    );
-    let (screen_base, screen_ovh) = time_interleaved(
-        screen_setup(false),
-        screen_iter,
-        screen_setup(true),
-        screen_iter,
-        scale.captures,
-    );
-    let (shm_base, shm_ovh) = time_interleaved(
-        shm_setup(false, 64),
-        shm_iter,
-        shm_setup(true, 64),
-        shm_iter,
-        scale.shm_writes,
-    );
-    let (fs_base, fs_ovh) = time_interleaved(
-        fs_setup(false),
-        fs_iter,
-        fs_setup(true),
-        fs_iter,
-        scale.files,
-    );
-    vec![
-        Row {
-            name: "Device Access",
-            ops: scale.device_opens,
-            baseline: device_base,
-            overhaul: device_ovh,
-            paper_overhead_pct: 2.17,
-        },
-        Row {
-            name: "Clipboard",
-            ops: scale.pastes,
-            baseline: clip_base,
-            overhaul: clip_ovh,
-            paper_overhead_pct: 2.96,
-        },
-        Row {
-            name: "Screen Capture",
-            ops: scale.captures,
-            baseline: screen_base,
-            overhaul: screen_ovh,
-            paper_overhead_pct: 2.34,
-        },
-        Row {
-            name: "Shared Memory",
-            ops: scale.shm_writes,
-            baseline: shm_base,
-            overhaul: shm_ovh,
-            paper_overhead_pct: 0.63,
-        },
-        Row {
-            name: "Bonnie++",
-            ops: scale.files,
-            baseline: fs_base,
-            overhaul: fs_ovh,
-            paper_overhead_pct: 0.11,
-        },
-    ]
-}
-
-/// Formats rows like the paper's Table I.
-pub fn format_table(rows: &[Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<16} {:>12} {:>12} {:>10} {:>10}\n",
-        "Benchmarks", "Baseline", "OVERHAUL", "Overhead", "Paper"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<16} {:>10.2}ms {:>10.2}ms {:>9.2}% {:>9.2}%\n",
-            row.name,
-            row.baseline.as_secs_f64() * 1000.0,
-            row.overhaul.as_secs_f64() * 1000.0,
-            row.overhead_pct(),
-            row.paper_overhead_pct,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
-
-    fn tiny() -> Scale {
-        Scale {
-            device_opens: 200,
-            pastes: 20,
-            captures: 3,
-            shm_writes: 2_000,
-            files: 100,
-        }
-    }
-
-    #[test]
-    fn all_benchmarks_run_to_completion() {
-        let rows = run_all(tiny());
-        assert_eq!(rows.len(), 5);
-        for row in &rows {
-            assert!(
-                row.baseline.as_nanos() > 0,
-                "{} baseline measured",
-                row.name
-            );
-            assert!(
-                row.overhaul.as_nanos() > 0,
-                "{} overhaul measured",
-                row.name
-            );
-        }
-    }
 
     #[test]
     fn device_iterations_grant_in_grant_all_mode() {
@@ -671,20 +453,5 @@ mod tests {
         clipboard_iter(&mut bench);
         // A lower bound only: a slow host can never fail it.
         assert!(start.elapsed() >= Duration::from_micros(950));
-    }
-
-    #[test]
-    fn table_formatting_includes_all_rows() {
-        let rows = run_all(tiny());
-        let table = format_table(&rows);
-        for name in [
-            "Device Access",
-            "Clipboard",
-            "Screen Capture",
-            "Shared Memory",
-            "Bonnie++",
-        ] {
-            assert!(table.contains(name));
-        }
     }
 }

@@ -9,7 +9,6 @@ use overhaul_apps::campaign::{outcome_granted, CampaignDriver, CampaignKind};
 use overhaul_apps::workload::{run_empirical_experiment, WorkloadConfig};
 use overhaul_bench::ablation::{sweep_delta, sweep_propagation, sweep_shm_wait, sweep_visibility};
 use overhaul_bench::paper;
-use overhaul_bench::table1::{self, Scale};
 use overhaul_core::{
     replay, replay_from, timeline, Event, EventLog, OverhaulConfig, Recorder, System,
 };
@@ -22,24 +21,6 @@ use overhaul_xserver::protocol::{Atom, Reply, Request, XEvent};
 fn small_screen(mut config: OverhaulConfig) -> OverhaulConfig {
     config.x.screen = Rect::new(0, 0, 160, 100);
     config
-}
-
-#[test]
-fn table1_smoke_all_rows_measurable() {
-    let rows = table1::run_all(Scale {
-        device_opens: 500,
-        pastes: 30,
-        captures: 3,
-        shm_writes: 5_000,
-        files: 200,
-    });
-    assert_eq!(rows.len(), 5);
-    for row in &rows {
-        assert!(row.baseline.as_nanos() > 0);
-        // At tiny scales jitter dominates; the assertion is only that the
-        // measurement machinery produces finite overheads.
-        assert!(row.overhead_pct().is_finite(), "{}", row.name);
-    }
 }
 
 /// The committed paper artifact, which EXPERIMENTS.md quotes.
