@@ -137,15 +137,6 @@ impl OverhaulConfig {
         self
     }
 
-    /// Tunes the channel retry policy (builder style): how many resends the
-    /// kernel attempts before declaring the channel down, and the base
-    /// virtual-time backoff doubled on each attempt.
-    pub fn with_channel_retry(mut self, max_retries: u32, backoff: SimDuration) -> Self {
-        self.kernel.channel_max_retries = max_retries;
-        self.kernel.channel_retry_backoff = backoff;
-        self
-    }
-
     /// Whether this configuration has Overhaul active anywhere.
     pub fn overhaul_enabled(&self) -> bool {
         self.kernel.overhaul_enabled || self.x.overhaul_enabled
@@ -212,12 +203,8 @@ mod tests {
 
     #[test]
     fn fault_and_retry_builders_apply() {
-        let c = OverhaulConfig::protected()
-            .with_fault(FaultSpec::quiet(7).with_drop_p(0.25))
-            .with_channel_retry(5, SimDuration::from_millis(20));
+        let c = OverhaulConfig::protected().with_fault(FaultSpec::quiet(7).with_drop_p(0.25));
         assert!(c.fault.is_some());
-        assert_eq!(c.kernel.channel_max_retries, 5);
-        assert_eq!(c.kernel.channel_retry_backoff, SimDuration::from_millis(20));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use overhaul_kernel::error::{Errno, SysResult};
 use overhaul_kernel::monitor::AlertRequest;
 use overhaul_kernel::netlink::{ChannelState, ConnId, NetlinkError};
 use overhaul_kernel::syscall::OpenMode;
-use overhaul_kernel::{Kernel, XORG_PATH};
+use overhaul_kernel::{Kernel, CHANNEL_RETRY_BACKOFF, XORG_PATH};
 use overhaul_sim::snapshot::{hash64, Dec, Enc, Pack, Snapshot, SnapshotError};
 use overhaul_sim::{
     AuditCategory, AuditLog, Clock, ControlPlane, FaultPlan, Fd, Ledger, LedgerError, Mechanism,
@@ -166,14 +166,13 @@ impl System {
         kernel: &mut Kernel,
         x_pid: Pid,
     ) -> Result<ConnId, BootError> {
-        let backoff = kernel.config().channel_retry_backoff;
         let mut attempt = 0u32;
         loop {
             match kernel.netlink_connect(x_pid) {
                 Ok(conn) => return Ok(conn),
                 Err(NetlinkError::AuthTransient) if attempt + 1 < Self::BOOT_AUTH_ATTEMPTS => {
                     attempt += 1;
-                    clock.advance(backoff.saturating_doubled(attempt - 1));
+                    clock.advance(CHANNEL_RETRY_BACKOFF.saturating_doubled(attempt - 1));
                 }
                 Err(err) => return Err(BootError::ChannelAuth(err)),
             }

@@ -97,6 +97,15 @@ pub const XORG_PATH: &str = "/usr/lib/xorg/Xorg";
 /// Well-known path of the trusted udev helper (netlink-trusted).
 pub const UDEV_HELPER_PATH: &str = "/usr/lib/overhaul/udev-helper";
 
+/// How many times a lost channel message is retried before the sender
+/// gives up and the channel is declared down.
+pub const CHANNEL_MAX_RETRIES: u32 = 3;
+
+/// Base virtual-time backoff between channel retries, doubled per attempt.
+/// The display manager's boot-time authentication retries back off the
+/// same way.
+pub const CHANNEL_RETRY_BACKOFF: SimDuration = SimDuration::from_millis(10);
+
 /// Kernel-wide configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
@@ -120,12 +129,6 @@ pub struct KernelConfig {
     pub device_alerts: bool,
     /// Executable paths allowed to authenticate on the netlink channel.
     pub trusted_netlink_paths: Vec<String>,
-    /// How many times a lost channel message is retried before the sender
-    /// gives up and the channel is declared down.
-    pub channel_max_retries: u32,
-    /// Base virtual-time backoff between channel retries (doubles per
-    /// attempt).
-    pub channel_retry_backoff: SimDuration,
 }
 
 impl Default for KernelConfig {
@@ -138,8 +141,6 @@ impl Default for KernelConfig {
             ipc_propagation: true,
             device_alerts: true,
             trusted_netlink_paths: vec![XORG_PATH.to_string(), UDEV_HELPER_PATH.to_string()],
-            channel_max_retries: 3,
-            channel_retry_backoff: SimDuration::from_millis(10),
         }
     }
 }
@@ -936,7 +937,7 @@ impl Kernel {
                     attempt += 1;
                     degraded = true;
                     self.monitor.note_channel_retry();
-                    if attempt > self.config.channel_max_retries {
+                    if attempt > CHANNEL_MAX_RETRIES {
                         self.monitor.note_channel_drop();
                         self.channel_transition(conn, ChannelState::Down);
                         self.tracer.event(
@@ -961,10 +962,7 @@ impl Kernel {
                         None,
                         "channel: message lost in flight; retrying",
                     ));
-                    let backoff = self
-                        .config
-                        .channel_retry_backoff
-                        .saturating_doubled(attempt - 1);
+                    let backoff = CHANNEL_RETRY_BACKOFF.saturating_doubled(attempt - 1);
                     self.tracer.event(
                         "channel.fault",
                         self.clock.now(),

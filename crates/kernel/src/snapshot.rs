@@ -59,9 +59,7 @@ impl_pack!(KernelConfig {
     ptrace_hardening,
     ipc_propagation,
     device_alerts,
-    trusted_netlink_paths,
-    channel_max_retries,
-    channel_retry_backoff
+    trusted_netlink_paths
 });
 
 impl Kernel {

@@ -56,7 +56,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OVSN";
 
 /// Current snapshot format version. Bumped on any encoding change;
 /// [`Snapshot::from_bytes`] rejects versions it does not understand.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why decoding a snapshot failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1088,8 +1088,10 @@ mod tests {
         );
 
         // 4 is the retired format whose state section held the machine's
-        // boot configuration beside its owners' copies.
-        for version in [4, 99] {
+        // boot configuration beside its owners' copies; 5 the one whose
+        // configurations carried the channel retry policy and the alert
+        // duration.
+        for version in [4, 5, 99] {
             let mut bad_version = good.clone();
             bad_version[4] = version;
             assert_eq!(

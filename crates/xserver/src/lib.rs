@@ -75,6 +75,9 @@ use crate::protocol::{
 use crate::selection::{SelectionTable, Transfer};
 use crate::window::{WindowId, WindowTree};
 
+/// How long overlay alerts stay on screen ("a few seconds").
+pub const ALERT_DURATION: SimDuration = SimDuration::from_secs(3);
+
 /// Display-manager configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct XConfig {
@@ -86,8 +89,6 @@ pub struct XConfig {
     /// before its input events generate interaction notifications (the
     /// clickjacking gate; "a predefined time threshold", §IV-A).
     pub visibility_threshold: SimDuration,
-    /// How long overlay alerts stay on screen ("a few seconds").
-    pub alert_duration: SimDuration,
     /// The user's visual shared secret (the cat image of Figure 5).
     pub shared_secret: String,
     /// Root-window geometry.
@@ -99,7 +100,6 @@ impl Default for XConfig {
         XConfig {
             overhaul_enabled: true,
             visibility_threshold: SimDuration::from_millis(500),
-            alert_duration: SimDuration::from_secs(3),
             shared_secret: "cat.png".to_string(),
             screen: Rect::new(0, 0, 1920, 1080),
         }
@@ -462,7 +462,7 @@ impl XServer {
                 op: op.to_string(),
                 granted,
                 shown_at: now,
-                expires: now + self.config.alert_duration,
+                expires: now + ALERT_DURATION,
                 secret: self.config.shared_secret.clone(),
                 replayed,
                 reason: reason.map(str::to_string),

@@ -20,7 +20,6 @@ use crate::{XConfig, XServer};
 impl_pack!(XConfig {
     overhaul_enabled,
     visibility_threshold,
-    alert_duration,
     shared_secret,
     screen
 });

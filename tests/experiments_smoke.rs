@@ -289,7 +289,7 @@ fn audit_timeline_example_output_is_pinned() {
             hash64(machine.metrics().as_bytes()),
         ),
         (
-            0x2562_9e59_a702_1721,
+            0x0567_b252_7bc7_a4ce,
             0xcb79_e7f9_9813_b7b6,
             0x2723_a1a9_6cea_21dd
         ),
@@ -351,7 +351,7 @@ fn drawn_windows_and_pipe_state_section_is_pinned() {
     let snapshot = machine.snapshot();
     assert_eq!(
         (snapshot.state().len(), hash64(snapshot.state())),
-        (7_507, 0x4e86_2264_eb6d_b3fd),
+        (7_487, 0x6cea_79e2_f0f6_cc07),
         "state section length and hash"
     );
 }
