@@ -1886,7 +1886,11 @@ mod tests {
 
         // Every decision while down is a fail-closed deny, audited.
         let d = k.decide_direct(app, k.now(), ResourceOp::Mic);
-        assert_eq!(d.reason, monitor::DecisionReason::ChannelDown);
+        assert_eq!(d.verdict, Verdict::Deny);
+        assert_eq!(
+            k.explain_last(app, ResourceOp::Mic).map(|o| o.trace),
+            Some(DecisionTrace::ChannelDown)
+        );
         let s = k.monitor_stats();
         assert!(s.channel_retries >= 3);
         assert_eq!(s.channel_drops, 1);
@@ -1990,7 +1994,6 @@ mod tests {
         let outcome = DecisionOutcome {
             decision: Decision {
                 verdict: Verdict::Deny,
-                reason: monitor::DecisionReason::NoInteraction,
             },
             trace: DecisionTrace::NoInteraction,
         };
@@ -2196,12 +2199,10 @@ mod tests {
         // Same epoch, but past t + δ: must re-evaluate to a stale deny.
         let late = k.decide_direct(app, Timestamp::from_millis(5_000), ResourceOp::Mic);
         assert!(!late.verdict.is_grant());
-        assert_eq!(
-            late.reason,
-            monitor::DecisionReason::Expired {
-                elapsed: SimDuration::from_millis(4_900)
-            }
-        );
+        assert!(matches!(
+            k.explain_last(app, ResourceOp::Mic).map(|o| o.trace),
+            Some(DecisionTrace::Stale { elapsed, .. }) if elapsed == SimDuration::from_millis(4_900)
+        ));
     }
 
     #[test]

@@ -86,39 +86,13 @@ impl Verdict {
     }
 }
 
-/// Why the monitor decided the way it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionReason {
-    /// Granted: the operation followed an authentic interaction within δ.
-    WithinThreshold {
-        /// `n = (t+n) - t`, the interaction-to-operation gap.
-        elapsed: SimDuration,
-    },
-    /// Granted unconditionally (benchmark mode, checks still executed).
-    GrantAll,
-    /// Denied: the process never received an authentic interaction.
-    NoInteraction,
-    /// Denied: the last interaction is older than δ.
-    Expired {
-        /// The stale gap.
-        elapsed: SimDuration,
-    },
-    /// Denied: ptrace hardening froze this task's permissions.
-    PermissionsFrozen,
-    /// Denied: the kernel↔display-manager channel is down, so no authentic
-    /// interaction evidence can reach the monitor — fail closed.
-    ChannelDown,
-    /// Denied: the device is quarantined pending a helper map update.
-    Quarantined,
-}
-
-/// The monitor's answer to a permission query.
+/// The monitor's answer to a permission query. Why it was given is
+/// recorded once, in the [`crate::policy::DecisionTrace`] of the same
+/// [`crate::policy::DecisionOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Grant or deny.
     pub verdict: Verdict,
-    /// Why.
-    pub reason: DecisionReason,
 }
 
 /// A pending visual-alert request from the kernel to the display manager
@@ -298,10 +272,7 @@ mod pack {
     use overhaul_sim::impl_pack;
     use overhaul_sim::snapshot::{Dec, Enc, Pack, SnapshotError};
 
-    use super::{
-        AlertRequest, Decision, DecisionReason, MonitorConfig, MonitorStats, PermissionMonitor,
-        ResourceOp, Verdict,
-    };
+    use super::{AlertRequest, MonitorConfig, MonitorStats, PermissionMonitor, ResourceOp};
 
     impl Pack for ResourceOp {
         fn pack(&self, enc: &mut Enc) {
@@ -315,59 +286,6 @@ mod pack {
         }
     }
 
-    impl Pack for Verdict {
-        fn pack(&self, enc: &mut Enc) {
-            enc.put_u8(match self {
-                Verdict::Grant => 0,
-                Verdict::Deny => 1,
-            });
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(match dec.take_u8()? {
-                0 => Verdict::Grant,
-                1 => Verdict::Deny,
-                _ => return Err(SnapshotError::BadValue("verdict")),
-            })
-        }
-    }
-
-    impl Pack for DecisionReason {
-        fn pack(&self, enc: &mut Enc) {
-            match self {
-                DecisionReason::WithinThreshold { elapsed } => {
-                    enc.put_u8(0);
-                    elapsed.pack(enc);
-                }
-                DecisionReason::GrantAll => enc.put_u8(1),
-                DecisionReason::NoInteraction => enc.put_u8(2),
-                DecisionReason::Expired { elapsed } => {
-                    enc.put_u8(3);
-                    elapsed.pack(enc);
-                }
-                DecisionReason::PermissionsFrozen => enc.put_u8(4),
-                DecisionReason::ChannelDown => enc.put_u8(5),
-                DecisionReason::Quarantined => enc.put_u8(6),
-            }
-        }
-        fn unpack(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-            Ok(match dec.take_u8()? {
-                0 => DecisionReason::WithinThreshold {
-                    elapsed: Pack::unpack(dec)?,
-                },
-                1 => DecisionReason::GrantAll,
-                2 => DecisionReason::NoInteraction,
-                3 => DecisionReason::Expired {
-                    elapsed: Pack::unpack(dec)?,
-                },
-                4 => DecisionReason::PermissionsFrozen,
-                5 => DecisionReason::ChannelDown,
-                6 => DecisionReason::Quarantined,
-                _ => return Err(SnapshotError::BadValue("decision reason")),
-            })
-        }
-    }
-
-    impl_pack!(Decision { verdict, reason });
     impl_pack!(AlertRequest {
         pid,
         process_name,
@@ -412,7 +330,10 @@ mod tests {
         let pid = kernel.sys_fork(Pid::INIT).unwrap();
         let d = kernel.decide_direct(pid, Timestamp::from_millis(10), ResourceOp::Mic);
         assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(d.reason, DecisionReason::NoInteraction);
+        assert_eq!(
+            kernel.explain_last(pid, ResourceOp::Mic).map(|o| o.trace),
+            Some(crate::policy::DecisionTrace::NoInteraction)
+        );
         let stats = kernel.monitor_stats();
         assert_eq!((stats.grants, stats.denies), (0, 1));
     }

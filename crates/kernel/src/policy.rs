@@ -35,7 +35,7 @@ use std::fmt;
 
 use overhaul_sim::{Pid, RuleKind, SimDuration, SlotId, Timestamp};
 
-use crate::monitor::{Decision, DecisionReason, ResourceOp, Verdict};
+use crate::monitor::{Decision, ResourceOp, Verdict};
 use crate::netlink::ChannelState;
 
 /// Maximum number of hops a [`CreditChain`] records before saturating.
@@ -311,27 +311,6 @@ impl DecisionTrace {
         }
     }
 
-    /// The wire-compatible [`DecisionReason`] this trace collapses to.
-    ///
-    /// [`DecisionTrace::UnknownProcess`] maps to
-    /// [`DecisionReason::NoInteraction`]: a pid the kernel does not know
-    /// has, by definition, never received an interaction.
-    pub fn reason(&self) -> DecisionReason {
-        match *self {
-            DecisionTrace::WithinThreshold { elapsed, .. } => {
-                DecisionReason::WithinThreshold { elapsed }
-            }
-            DecisionTrace::GrantAll { .. } => DecisionReason::GrantAll,
-            DecisionTrace::NoInteraction | DecisionTrace::UnknownProcess => {
-                DecisionReason::NoInteraction
-            }
-            DecisionTrace::Stale { elapsed, .. } => DecisionReason::Expired { elapsed },
-            DecisionTrace::PermissionsFrozen => DecisionReason::PermissionsFrozen,
-            DecisionTrace::ChannelDown => DecisionReason::ChannelDown,
-            DecisionTrace::Quarantined => DecisionReason::Quarantined,
-        }
-    }
-
     /// The rule that fired, in the ledger's vocabulary: its label names
     /// the rule on spans and metrics, and its deny cause is what audit
     /// rows and overlay alerts both show for a fail-closed deny.
@@ -436,7 +415,6 @@ impl DecisionOutcome {
                 ..
             } => {
                 *elapsed = at.saturating_since(*interaction_at);
-                self.decision.reason = DecisionReason::WithinThreshold { elapsed: *elapsed };
             }
             DecisionTrace::Stale {
                 interaction_at,
@@ -448,7 +426,6 @@ impl DecisionOutcome {
                 *elapsed = at.saturating_since(*interaction_at);
                 *over_by =
                     SimDuration::from_millis(elapsed.as_millis().saturating_sub(delta.as_millis()));
-                self.decision.reason = DecisionReason::Expired { elapsed: *elapsed };
             }
             _ => {}
         }
@@ -523,7 +500,6 @@ impl PolicyEngine {
         DecisionOutcome {
             decision: Decision {
                 verdict: trace.verdict(),
-                reason: trace.reason(),
             },
             trace,
         }
@@ -907,19 +883,15 @@ mod tests {
         let snap = snapshot(Some(live_task(Some(1_000))));
         let out = PolicyEngine::evaluate_at(&snap, at(2_500));
         assert_eq!(out.decision.verdict, Verdict::Grant);
-        assert_eq!(
-            out.decision.reason,
-            DecisionReason::WithinThreshold {
-                elapsed: SimDuration::from_millis(1_500)
-            }
-        );
         match out.trace {
             DecisionTrace::WithinThreshold {
                 interaction_at,
+                elapsed,
                 chain,
                 ..
             } => {
                 assert_eq!(interaction_at, at(1_000));
+                assert_eq!(elapsed, SimDuration::from_millis(1_500));
                 assert_eq!(chain.hops(), &[CreditHop::Direct]);
             }
             other => panic!("unexpected trace {other:?}"),
@@ -932,14 +904,11 @@ mod tests {
         let snap = snapshot(Some(live_task(Some(0))));
         let out = PolicyEngine::evaluate_at(&snap, at(2_000));
         assert_eq!(out.decision.verdict, Verdict::Deny);
-        assert_eq!(
-            out.decision.reason,
-            DecisionReason::Expired {
-                elapsed: SimDuration::from_secs(2)
-            }
-        );
         match out.trace {
-            DecisionTrace::Stale { over_by, .. } => {
+            DecisionTrace::Stale {
+                elapsed, over_by, ..
+            } => {
+                assert_eq!(elapsed, SimDuration::from_secs(2));
                 assert_eq!(over_by, SimDuration::from_millis(0));
             }
             other => panic!("unexpected trace {other:?}"),
@@ -952,12 +921,10 @@ mod tests {
         // pre-refactor monitor exactly.
         let snap = snapshot(Some(live_task(Some(5_000))));
         let out = PolicyEngine::evaluate_at(&snap, at(4_000));
-        assert_eq!(
-            out.decision.reason,
-            DecisionReason::WithinThreshold {
-                elapsed: SimDuration::from_millis(0)
-            }
-        );
+        assert!(matches!(
+            out.trace,
+            DecisionTrace::WithinThreshold { elapsed, .. } if elapsed == SimDuration::from_millis(0)
+        ));
     }
 
     #[test]
@@ -968,7 +935,7 @@ mod tests {
         snap.channel_state = ChannelState::Down;
         let out = PolicyEngine::evaluate_at(&snap, at(1_100));
         assert_eq!(out.trace, DecisionTrace::Quarantined);
-        assert_eq!(out.decision.reason, DecisionReason::Quarantined);
+        assert_eq!(out.decision.verdict, Verdict::Deny);
     }
 
     #[test]
@@ -978,7 +945,7 @@ mod tests {
         snap.channel_state = ChannelState::Down;
         let out = PolicyEngine::evaluate_at(&snap, at(10));
         assert_eq!(out.trace, DecisionTrace::ChannelDown);
-        assert_eq!(out.decision.reason, DecisionReason::ChannelDown);
+        assert_eq!(out.decision.verdict, Verdict::Deny);
     }
 
     #[test]
@@ -1000,7 +967,7 @@ mod tests {
         snap.grant_all = true;
         let out = PolicyEngine::evaluate_at(&snap, at(100));
         assert_eq!(out.trace, DecisionTrace::PermissionsFrozen);
-        assert_eq!(out.decision.reason, DecisionReason::PermissionsFrozen);
+        assert_eq!(out.decision.verdict, Verdict::Deny);
     }
 
     #[test]
@@ -1024,7 +991,7 @@ mod tests {
                 interaction_at: None
             }
         );
-        assert_eq!(out.decision.reason, DecisionReason::GrantAll);
+        assert_eq!(out.decision.verdict, Verdict::Grant);
     }
 
     #[test]
@@ -1039,13 +1006,14 @@ mod tests {
     fn unknown_process_maps_to_no_interaction_reason() {
         let out = PolicyEngine::evaluate_at(&snapshot(None), at(10));
         assert_eq!(out.trace, DecisionTrace::UnknownProcess);
-        assert_eq!(out.decision.reason, DecisionReason::NoInteraction);
+        assert_eq!(out.trace.rule().deny_cause(), None);
         assert_eq!(out.decision.verdict, Verdict::Deny);
 
-        // A live task that never interacted is denied for the same reason.
+        // A live task that never interacted is denied the same way: an
+        // ordinary deny, naming no fail-closed cause.
         let out = PolicyEngine::evaluate_at(&snapshot(Some(live_task(None))), at(10));
         assert_eq!(out.trace, DecisionTrace::NoInteraction);
-        assert_eq!(out.decision.reason, DecisionReason::NoInteraction);
+        assert_eq!(out.trace.rule().deny_cause(), None);
         assert_eq!(out.decision.verdict, Verdict::Deny);
     }
 
@@ -1179,12 +1147,10 @@ mod tests {
             .lookup(id, ResourceOp::Mic, false, at(2_200), 1, 1)
             .expect("hit");
         assert_eq!(hit, PolicyEngine::evaluate_at(&snap, at(2_200)));
-        assert_eq!(
-            hit.decision.reason,
-            DecisionReason::WithinThreshold {
-                elapsed: SimDuration::from_millis(1_200)
-            }
-        );
+        assert!(matches!(
+            hit.trace,
+            DecisionTrace::WithinThreshold { elapsed, .. } if elapsed == SimDuration::from_millis(1_200)
+        ));
 
         // Past the window the grant must NOT hit: time alone flipped it.
         assert!(cache
