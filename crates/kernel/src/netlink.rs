@@ -374,22 +374,6 @@ impl Netlink {
         (dropped, display_lost)
     }
 
-    /// Drops every connection whose peer is no longer running (periodic
-    /// scan; retained as a belt-and-braces sweep on top of the eager
-    /// exit-path invalidation).
-    pub fn reap_dead_peers(&mut self, tasks: &ProcessTable) {
-        self.connections.retain(|_, c| tasks.is_running(c.pid));
-        if let Some(conn) = self.display_conn {
-            if !self.connections.contains_key(&conn) {
-                self.display_conn = None;
-                if self.display_state != ChannelState::Down {
-                    self.display_state = ChannelState::Down;
-                    self.state_generation += 1;
-                }
-            }
-        }
-    }
-
     /// Number of live connections.
     pub fn connection_count(&self) -> usize {
         self.connections.len()
@@ -566,17 +550,6 @@ mod tests {
             netlink.peer(ConnId(99)),
             Err(NetlinkError::UnknownConnection)
         );
-    }
-
-    #[test]
-    fn reap_dead_peers_drops_connections() {
-        let (mut netlink, mut tasks, vfs) = setup();
-        let x = tasks.spawn(Pid::INIT, XORG).unwrap();
-        let conn = netlink.connect(&tasks, &vfs, x, &[XORG.into()]).unwrap();
-        tasks.exit(x, 0).unwrap();
-        netlink.reap_dead_peers(&tasks);
-        assert_eq!(netlink.peer(conn), Err(NetlinkError::UnknownConnection));
-        assert_eq!(netlink.state(), ChannelState::Down);
     }
 
     #[test]

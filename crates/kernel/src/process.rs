@@ -245,14 +245,6 @@ impl ProcessTable {
         }
         false
     }
-
-    /// Pids of all running tasks.
-    pub fn running_pids(&self) -> Vec<Pid> {
-        self.iter()
-            .filter(|t| t.is_running())
-            .map(Task::pid)
-            .collect()
-    }
 }
 
 mod pack {
@@ -423,17 +415,6 @@ mod tests {
             });
         let drained = table.exit(p, 0).unwrap();
         assert_eq!(drained.len(), 1);
-    }
-
-    #[test]
-    fn running_pids_excludes_zombies() {
-        let mut table = ProcessTable::new();
-        let a = table.fork(Pid::INIT).unwrap();
-        let b = table.fork(Pid::INIT).unwrap();
-        table.exit(a, 0).unwrap();
-        let pids = table.running_pids();
-        assert!(pids.contains(&b));
-        assert!(!pids.contains(&a));
     }
 
     #[test]

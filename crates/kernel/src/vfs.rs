@@ -368,15 +368,6 @@ impl Vfs {
         })
     }
 
-    /// Lists the names in a directory.
-    pub fn list_dir(&self, path: &str) -> SysResult<Vec<String>> {
-        let inode = self.inode(self.resolve(path)?)?;
-        match &inode.kind {
-            InodeKind::Directory { entries } => Ok(entries.keys().cloned().collect()),
-            _ => Err(Errno::Enotdir),
-        }
-    }
-
     /// Appends bytes to a regular file.
     pub fn append(&mut self, id: InodeId, bytes: &[u8]) -> SysResult<usize> {
         let inode = self.inodes.get_mut(&id).ok_or(Errno::Enoent)?;
@@ -593,17 +584,6 @@ mod tests {
         let inode = vfs.inode(id).unwrap();
         assert!(inode.permits(Uid::from_raw(5), false));
         assert!(!inode.permits(Uid::from_raw(5), true));
-    }
-
-    #[test]
-    fn list_dir_is_sorted() {
-        let mut vfs = Vfs::new();
-        vfs.create_file("/tmp/b", Uid::ROOT, 0o644).unwrap();
-        vfs.create_file("/tmp/a", Uid::ROOT, 0o644).unwrap();
-        assert_eq!(
-            vfs.list_dir("/tmp").unwrap(),
-            vec!["a".to_string(), "b".to_string()]
-        );
     }
 
     #[test]
