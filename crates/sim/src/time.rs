@@ -274,6 +274,20 @@ mod tests {
             SimDuration::from_millis(u64::MAX) + SimDuration::from_millis(1),
             SimDuration::from_millis(u64::MAX)
         );
+        // Retry backoffs: sixty doublings of 10 ms fit, the sixty-first
+        // and a shift past the width of u64 saturate.
+        let backoff = SimDuration::from_millis(10);
+        assert_eq!(backoff.saturating_doubled(2), SimDuration::from_millis(40));
+        assert_eq!(
+            backoff.saturating_doubled(60),
+            SimDuration::from_millis(10 << 60)
+        );
+        for times in [61, 64, u32::MAX] {
+            assert_eq!(
+                backoff.saturating_doubled(times),
+                SimDuration::from_millis(u64::MAX)
+            );
+        }
     }
 
     #[test]
