@@ -99,7 +99,7 @@ pub const UDEV_HELPER_PATH: &str = "/usr/lib/overhaul/udev-helper";
 
 /// How many times a lost channel message is retried before the sender
 /// gives up and the channel is declared down.
-pub const CHANNEL_MAX_RETRIES: u32 = 3;
+pub(crate) const CHANNEL_MAX_RETRIES: u32 = 3;
 
 /// Base virtual-time backoff between channel retries, doubled per attempt.
 /// The display manager's boot-time authentication retries back off the

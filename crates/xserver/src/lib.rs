@@ -76,7 +76,7 @@ use crate::selection::{SelectionTable, Transfer};
 use crate::window::{WindowId, WindowTree};
 
 /// How long overlay alerts stay on screen ("a few seconds").
-pub const ALERT_DURATION: SimDuration = SimDuration::from_secs(3);
+pub(crate) const ALERT_DURATION: SimDuration = SimDuration::from_secs(3);
 
 /// Display-manager configuration.
 #[derive(Debug, Clone, PartialEq)]
